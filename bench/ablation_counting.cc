@@ -1,5 +1,5 @@
 // Ablation bench: tree materialization (the paper's approach) vs.
-// DAG-memoized counting (our extension) for the same path populations.
+// term-layered counting (our extension) for the same path populations.
 // Quantifies why the paper's Table 2 ran out of memory: the expansion tree
 // revisits each distinct enrollment status exponentially often, while the
 // status DAG stays comparatively small.
@@ -18,7 +18,7 @@ void Run(const bench::BenchArgs& args) {
   data::BrandeisDataset dataset = data::BuildBrandeisDataset();
   Term end = data::EvaluationEndTerm();
 
-  std::printf("Ablation: tree materialization vs. DAG-memoized counting\n"
+  std::printf("Ablation: tree materialization vs. term-layered counting\n"
               "(deadline-driven, fresh student, m = 3)\n\n");
 
   bench::TextTable table({"semesters", "paths", "tree nodes", "tree sec",

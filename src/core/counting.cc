@@ -2,26 +2,116 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/combinations.h"
 #include "core/engine.h"
 #include "obs/trace.h"
+#include "util/bitset.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
+#include "util/simd/simd.h"
+#include "util/string_util.h"
 
 namespace coursenav {
 
 namespace {
 
-/// Leaf counts below one status.
-struct Counts {
-  uint64_t total = 0;
-  uint64_t goal = 0;
+/// One semester of the layered count: a flat open-addressing table mapping
+/// a status's completed-set words to the number of learning paths that
+/// reach it from the start status (saturating at UINT64_MAX). Each slot is
+/// `words + 1` consecutive uint64s — the key words, then the multiplicity —
+/// probed linearly over a power-of-two slot count. A zero multiplicity marks
+/// an empty slot: every stored multiplicity is at least 1.
+class StatusLayer {
+ public:
+  explicit StatusLayer(size_t words) : words_(words), stride_(words + 1) {}
+
+  size_t size() const { return size_; }
+
+  /// Heap bytes the slot array holds.
+  size_t bytes() const { return slots_.capacity() * sizeof(uint64_t); }
+
+  /// True when one more status would push the load factor past 3/4; the
+  /// caller then charges `grown_bytes()` and calls `Grow()` before `Add`.
+  bool full() const { return (size_ + 1) * 4 > capacity_ * 3; }
+  size_t grown_bytes() const {
+    return GrownCapacity() * stride_ * sizeof(uint64_t);
+  }
+
+  /// Doubles the slot count and rehashes every status.
+  void Grow() {
+    std::vector<uint64_t> old = std::move(slots_);
+    const size_t old_capacity = capacity_;
+    capacity_ = GrownCapacity();
+    slots_.assign(capacity_ * stride_, 0);
+    size_ = 0;
+    for (size_t slot = 0; slot < old_capacity; ++slot) {
+      const uint64_t* row = old.data() + slot * stride_;
+      if (row[words_] != 0) Add(row, row[words_]);
+    }
+  }
+
+  /// Adds `paths` to the status whose completed-set words are `key`,
+  /// inserting it when absent; returns true for a new status. The layer
+  /// must not be `full()`.
+  bool Add(const uint64_t* key, uint64_t paths) {
+    const size_t mask = capacity_ - 1;
+    for (size_t slot = static_cast<size_t>(HashWords(key, words_)) & mask;;
+         slot = (slot + 1) & mask) {
+      uint64_t* row = slots_.data() + slot * stride_;
+      if (row[words_] == 0) {
+        std::copy(key, key + words_, row);
+        row[words_] = paths;
+        ++size_;
+        return true;
+      }
+      if (simd::Equal(row, key, words_)) {
+        row[words_] = SaturatingAdd(row[words_], paths);
+        return false;
+      }
+    }
+  }
+
+  /// Empties the layer, keeping its slot array for the next semester.
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), 0);
+    size_ = 0;
+  }
+
+  /// Calls `fn(const uint64_t* key, uint64_t paths)` per status, in slot
+  /// order, until `fn` returns false.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t slot = 0; slot < capacity_; ++slot) {
+      const uint64_t* row = slots_.data() + slot * stride_;
+      if (row[words_] != 0 && !fn(row, row[words_])) return;
+    }
+  }
+
+ private:
+  static constexpr size_t kMinCapacity = 16;
+
+  size_t GrownCapacity() const {
+    return capacity_ == 0 ? kMinCapacity : capacity_ * 2;
+  }
+
+  size_t words_;
+  size_t stride_;
+  size_t capacity_ = 0;
+  size_t size_ = 0;
+  std::vector<uint64_t> slots_;
 };
 
-/// Memoized recursive counter shared by the deadline and goal modes.
+/// Term-layered forward counter shared by the deadline and goal modes.
+///
+/// Every edge of the expansion tree advances exactly one semester, so the
+/// statuses of semester t+1 are exactly the kept children of semester t's.
+/// The run expands one semester's layer at a time: each distinct status is
+/// expanded once and adds its path multiplicity to each kept child in the
+/// next layer, while goal, end-semester and dead-end statuses retire their
+/// multiplicity into the totals. Only two layers are ever live.
 class CountingRun {
  public:
   CountingRun(const Catalog& catalog, const OfferingSchedule& schedule,
@@ -38,25 +128,32 @@ class CountingRun {
         oracle_(goal == nullptr
                     ? nullptr
                     : std::make_unique<internal::PruningOracle>(
-                          *goal, engine_, options, *config)) {}
+                          *goal, engine_, options, *config)),
+        completed_(catalog.size()),
+        empty_selection_(catalog.size()),
+        current_(completed_.word_count()),
+        next_(completed_.word_count()) {
+    batch_.Configure(catalog.size());
+  }
 
   CountingRun(const CountingRun&) = delete;
   CountingRun& operator=(const CountingRun&) = delete;
 
   Result<CountingResult> Run(const EnrollmentStatus& start) {
     obs::ScopedSpan run_span(obs::kSpanCountPaths);
-    Result<Counts> counts = CountFrom(start.term, start.completed);
+    Status counted = CountLayers(start);
     // Distinct statuses stand in for nodes in the counting rung's metrics
-    // (the memo is what bounds counting memory, as max_nodes does graphs).
-    engine_.metrics().nodes_created += static_cast<int64_t>(memo_.size());
+    // (they are what bounds counting work, as max_nodes does graphs).
+    engine_.metrics().nodes_created += statuses_;
     if (oracle_ != nullptr) oracle_->EmitStageSpans();
-    run_span.AddInt("distinct_statuses", static_cast<int64_t>(memo_.size()));
-    if (!counts.ok()) return counts.status();
+    run_span.AddInt("distinct_statuses", statuses_);
+    if (!counted.ok()) return counted;
     CountingResult result;
-    result.total_paths = counts->total;
-    result.goal_paths = counts->goal;
-    result.saturated = saturated_;
-    result.distinct_statuses = static_cast<int64_t>(memo_.size());
+    result.total_paths = total_paths_;
+    result.goal_paths = goal_paths_;
+    // goal_paths <= total_paths, so one saturated total covers both.
+    result.saturated = total_paths_ == UINT64_MAX;
+    result.distinct_statuses = statuses_;
     result.runtime_seconds = budget_.ElapsedSeconds();
     run_span.AddInt("total_paths_low64",
                     static_cast<int64_t>(result.total_paths));
@@ -64,90 +161,116 @@ class CountingRun {
   }
 
  private:
-  using MemoKey = std::pair<int, DynamicBitset>;
+  using Verdict = internal::PruningOracle::Verdict;
 
-  struct MemoKeyHash {
-    size_t operator()(const MemoKey& key) const {
-      return static_cast<size_t>(key.second.Hash() ^
-                                 (static_cast<uint64_t>(key.first) *
-                                  0x9e3779b97f4a7c15ULL));
+  Status CountLayers(const EnrollmentStatus& start) {
+    COURSENAV_RETURN_IF_ERROR(AddChild(start.completed.word_data(), 1));
+    Status status = Status::OK();
+    for (Term term = start.term; next_.size() > 0; term = term.Next()) {
+      std::swap(current_, next_);
+      next_.Clear();
+      current_.ForEach([&](const uint64_t* completed, uint64_t paths) {
+        status = Expand(term, completed, paths);
+        return status.ok();
+      });
+      COURSENAV_RETURN_IF_ERROR(status);
     }
-  };
-
-  Result<Counts> CountFrom(Term term, const DynamicBitset& completed) {
-    MemoKey key{term.index(), completed};
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-
-    COURSENAV_RETURN_IF_ERROR(CheckBudget());
-
-    Counts counts;
-    if (goal_ != nullptr && goal_->IsSatisfied(completed)) {
-      counts = {1, 1};
-    } else if (term == end_term_) {
-      counts = goal_ == nullptr ? Counts{1, 1} : Counts{1, 0};
-    } else {
-      DynamicBitset node_options =
-          ComputeOptions(catalog_, schedule_, completed, term, options_);
-      const Term child_term = term.Next();
-      const int left_parent =
-          oracle_ != nullptr ? oracle_->LeftAt(completed) : -1;
-
-      bool expanded = false;
-      Status child_error = Status::OK();
-      auto accumulate_child = [&](const DynamicBitset& selection) {
-        DynamicBitset next_completed = completed;
-        next_completed |= selection;
-        if (oracle_ != nullptr &&
-            oracle_->ClassifyChild(next_completed, selection.count(),
-                                   child_term, left_parent) !=
-                internal::PruningOracle::Verdict::kKeep) {
-          return true;
-        }
-        Result<Counts> child = CountFrom(child_term, next_completed);
-        if (!child.ok()) {
-          child_error = child.status();
-          return false;
-        }
-        counts.total = SaturatingAdd(counts.total, child->total);
-        counts.goal = SaturatingAdd(counts.goal, child->goal);
-        if (counts.total == UINT64_MAX || counts.goal == UINT64_MAX) {
-          saturated_ = true;
-        }
-        expanded = true;
-        return true;
-      };
-
-      int min_selection =
-          oracle_ != nullptr ? oracle_->MinSelectionSize(left_parent, term)
-                             : 1;
-      if (!node_options.empty() && min_selection <= node_options.count()) {
-        ForEachSelection(node_options, min_selection,
-                         options_.max_courses_per_term, accumulate_child);
-      }
-      if (child_error.ok()) {
-        bool skip_edge = options_.allow_voluntary_skip ||
-                         (node_options.empty() &&
-                          engine_.FutureCourseExists(completed, term));
-        if (skip_edge) {
-          accumulate_child(DynamicBitset(catalog_.size()));
-        }
-      }
-      if (!child_error.ok()) return child_error;
-      if (!expanded) counts = {1, 0};  // dead-end leaf
-    }
-
-    memo_.emplace(std::move(key), counts);
-    return counts;
+    return Status::OK();
   }
 
+  /// Expands one status of the `term` layer reached by `paths` paths.
+  Status Expand(Term term, const uint64_t* completed_words, uint64_t paths) {
+    COURSENAV_RETURN_IF_ERROR(CheckBudget());
+    completed_.AssignWords(completed_words);
+    if (goal_ != nullptr && goal_->IsSatisfied(completed_)) {
+      Retire(paths, /*reaches_goal=*/true);
+      return Status::OK();
+    }
+    if (term == end_term_) {
+      Retire(paths, /*reaches_goal=*/goal_ == nullptr);
+      return Status::OK();
+    }
+
+    const DynamicBitset node_options =
+        ComputeOptions(catalog_, schedule_, completed_, term, options_);
+    const Term child_term = term.Next();
+    const int left_parent =
+        oracle_ != nullptr ? oracle_->LeftAt(completed_) : -1;
+
+    bool expanded = false;
+    Status child_error = Status::OK();
+    // Classifies the staged children and adds the kept ones to the next
+    // layer with this status's multiplicity.
+    auto flush_batch = [&]() {
+      if (oracle_ != nullptr) {
+        oracle_->ClassifyBatch(batch_, child_term, left_parent, &verdicts_);
+      }
+      for (size_t i = 0; i < batch_.size() && child_error.ok(); ++i) {
+        if (oracle_ != nullptr && verdicts_[i] != Verdict::kKeep) continue;
+        expanded = true;
+        child_error = AddChild(batch_.completed_row(i), paths);
+      }
+      batch_.Clear();
+      return child_error.ok();
+    };
+
+    const int min_selection =
+        oracle_ != nullptr ? oracle_->MinSelectionSize(left_parent, term) : 1;
+    if (!node_options.empty() && min_selection <= node_options.count()) {
+      ForEachSelection(node_options, min_selection,
+                       options_.max_courses_per_term,
+                       [&](const DynamicBitset& selection) {
+                         batch_.Push(completed_, selection);
+                         return !batch_.full() || flush_batch();
+                       });
+    }
+    if (child_error.ok()) {
+      const bool skip_edge =
+          options_.allow_voluntary_skip ||
+          (node_options.empty() &&
+           engine_.FutureCourseExists(completed_, term));
+      if (skip_edge) batch_.Push(completed_, empty_selection_);
+      if (!batch_.empty()) flush_batch();
+    }
+    COURSENAV_RETURN_IF_ERROR(child_error);
+    if (!expanded) Retire(paths, /*reaches_goal=*/false);  // dead end
+    return Status::OK();
+  }
+
+  /// Adds `paths` paths to a status of the next layer. The status cap is
+  /// exact: the count fails as soon as distinct statuses exceed it.
+  Status AddChild(const uint64_t* completed_words, uint64_t paths) {
+    if (next_.full()) {
+      const ExplorationLimits& limits = options_.limits;
+      if (limits.max_memory_bytes > 0 &&
+          current_.bytes() + next_.grown_bytes() > limits.max_memory_bytes) {
+        return Status::ResourceExhausted(
+            StrFormat("memory budget of %zu bytes reached while counting",
+                      limits.max_memory_bytes));
+      }
+      next_.Grow();
+    }
+    if (next_.Add(completed_words, paths)) {
+      ++statuses_;
+      const int64_t max_nodes = options_.limits.max_nodes;
+      if (max_nodes > 0 && statuses_ > max_nodes) {
+        return Status::ResourceExhausted(
+            StrFormat("status budget of %lld exceeded while counting",
+                      static_cast<long long>(max_nodes)));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Retires a leaf status reached by `paths` paths into the totals.
+  void Retire(uint64_t paths, bool reaches_goal) {
+    total_paths_ = SaturatingAdd(total_paths_, paths);
+    if (reaches_goal) goal_paths_ = SaturatingAdd(goal_paths_, paths);
+  }
+
+  /// One check per expanded status.
   Status CheckBudget() {
     engine_.metrics().budget_checks += 1;
-    const ExplorationLimits& limits = options_.limits;
-    if (limits.max_nodes > 0 &&
-        static_cast<int64_t>(memo_.size()) >= limits.max_nodes) {
-      return Status::ResourceExhausted("status budget reached while counting");
-    }
     if (FaultInjector* injector = ActiveFaultInjector();
         injector != nullptr && injector->ShouldInject(kFaultSiteCountAlloc)) {
       return Status::ResourceExhausted(
@@ -164,8 +287,15 @@ class CountingRun {
   internal::ExplorationEngine engine_;
   DeadlineBudget budget_;
   std::unique_ptr<internal::PruningOracle> oracle_;
-  std::unordered_map<MemoKey, Counts, MemoKeyHash> memo_;
-  bool saturated_ = false;
+  internal::CandidateBatch batch_;
+  std::vector<Verdict> verdicts_;
+  DynamicBitset completed_;  // the expanded status's completed set
+  const DynamicBitset empty_selection_;
+  StatusLayer current_;  // the semester being expanded
+  StatusLayer next_;     // its children
+  int64_t statuses_ = 0;
+  uint64_t total_paths_ = 0;
+  uint64_t goal_paths_ = 0;
 };
 
 }  // namespace

@@ -45,7 +45,7 @@ enum class DegradationLevel {
   /// Ranked top-k with a reduced k: a handful of best plans instead of the
   /// full graph. Requires a goal and a ranking.
   kRankedSmallK = 2,
-  /// DAG-memoized path counting only: "how many futures remain" without
+  /// Term-layered path counting only: "how many futures remain" without
   /// materializing any of them — the cheapest nonempty answer.
   kCountOnly = 3,
 };
@@ -80,8 +80,8 @@ struct DegradationPolicy {
   int64_t degraded_max_nodes = 0;
 
   /// Distinct-status cap for the kCountOnly rung; 0 = inherit. Counting
-  /// memoizes statuses rather than materializing nodes, so it usually
-  /// deserves a far larger cap than the graph rungs.
+  /// holds two semesters of statuses rather than materialized nodes, so
+  /// it usually deserves a far larger cap than the graph rungs.
   int64_t count_max_nodes = 0;
 };
 

@@ -74,18 +74,7 @@ std::vector<int> DynamicBitset::ToIndices() const {
 }
 
 uint64_t DynamicBitset::Hash() const {
-  // FNV-style fold with a 64-bit avalanche finisher (splitmix64).
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    h ^= words_[i];
-    h *= 0x100000001b3ULL;
-  }
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
+  return HashWords(words_.data(), words_.size());
 }
 
 std::string DynamicBitset::ToString() const {

@@ -228,6 +228,23 @@ class DynamicBitset {
   internal::WordStorage words_;
 };
 
+/// 64-bit mixing hash of `count` packed words: an FNV-style fold with a
+/// splitmix64 avalanche finisher. `DynamicBitset::Hash` is this over the
+/// set's words, so a packed row and the bitset holding it hash alike.
+inline uint64_t HashWords(const uint64_t* words, size_t count) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < count; ++i) {
+    h ^= words[i];
+    h *= 0x100000001b3ULL;
+  }
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
 /// std::hash adapter for DynamicBitset-keyed maps.
 struct DynamicBitsetHash {
   size_t operator()(const DynamicBitset& b) const {

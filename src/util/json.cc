@@ -10,6 +10,12 @@ namespace coursenav {
 
 namespace {
 
+/// Deepest nesting of arrays and objects the parser accepts. It recurses
+/// once per level, so the cap bounds its stack on hostile input (a request
+/// frame of bare '[' characters); no document this program reads nests
+/// more than a handful of levels.
+constexpr int kMaxNestingDepth = 256;
+
 /// Recursive-descent JSON parser over a string_view cursor.
 class JsonParser {
  public:
@@ -31,9 +37,16 @@ class JsonParser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kMaxNestingDepth) {
+          return Error("nesting deeper than " +
+                       std::to_string(kMaxNestingDepth) + " levels");
+        }
+        ++depth_;
+        Result<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -231,6 +244,7 @@ class JsonParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around the cursor
 };
 
 }  // namespace

@@ -39,7 +39,8 @@ class JsonValue {
   JsonValue(Array a) : type_(Type::kArray), array_(std::move(a)) {}
   JsonValue(Object o) : type_(Type::kObject), object_(std::move(o)) {}
 
-  /// Parses a complete JSON document. Trailing non-whitespace is an error.
+  /// Parses a complete JSON document. Trailing non-whitespace is an error,
+  /// and so is nesting arrays and objects more than 256 levels deep.
   static Result<JsonValue> Parse(std::string_view text);
 
   Type type() const { return type_; }

@@ -89,6 +89,25 @@ TEST_F(BudgetTest, CountingBudgetsAreErrors) {
                                        Start(5), end_, timed)
                   .status()
                   .IsDeadlineExceeded());
+
+  // The two live status layers are charged against the memory budget.
+  auto count_goal = [&](size_t max_memory_bytes) {
+    ExplorationOptions budgeted;
+    budgeted.limits.max_memory_bytes = max_memory_bytes;
+    return CountGoalDrivenPaths(dataset_.catalog, dataset_.schedule, Start(5),
+                                end_, *dataset_.cs_major, budgeted);
+  };
+  auto starved = count_goal(size_t{1} << 10);
+  EXPECT_TRUE(starved.status().IsResourceExhausted())
+      << starved.status().ToString();
+  EXPECT_NE(starved.status().message().find("memory"), std::string::npos);
+  auto roomy = count_goal(size_t{1} << 30);
+  auto unlimited = count_goal(0);
+  ASSERT_TRUE(roomy.ok()) << roomy.status().ToString();
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  EXPECT_EQ(roomy->total_paths, unlimited->total_paths);
+  EXPECT_EQ(roomy->goal_paths, unlimited->goal_paths);
+  EXPECT_EQ(roomy->distinct_statuses, unlimited->distinct_statuses);
 }
 
 TEST_F(BudgetTest, UnlimitedBudgetsRunToCompletion) {

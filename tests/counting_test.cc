@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/deadline_generator.h"
 #include "core/goal_generator.h"
+#include "data/brandeis_cs.h"
 #include "data/synthetic.h"
 #include "requirements/expr_goal.h"
 #include "tests/test_util.h"
@@ -93,7 +97,79 @@ TEST(CountingTest, GoalSatisfiedAtRootCountsOnePath) {
   EXPECT_EQ(counted->distinct_statuses, 1);
 }
 
-/// Property: DAG-memoized counts equal materialized leaf counts, for both
+/// Counts the evaluation's Brandeis cell (fresh student, m = 3, deadline
+/// Fall 2015) for a span, deadline-driven or toward the CS major.
+Result<CountingResult> CountBrandeis(const data::BrandeisDataset& dataset,
+                                     int span, bool goal,
+                                     const ExplorationOptions& options) {
+  EnrollmentStatus start{data::StartTermForSpan(span),
+                         dataset.catalog.NewCourseSet()};
+  return goal ? CountGoalDrivenPaths(dataset.catalog, dataset.schedule, start,
+                                     data::EvaluationEndTerm(),
+                                     *dataset.cs_major, options)
+              : CountDeadlineDrivenPaths(dataset.catalog, dataset.schedule,
+                                         start, data::EvaluationEndTerm(),
+                                         options);
+}
+
+struct BrandeisCount {
+  const char* name;
+  int span;
+  bool goal;
+  uint64_t total_paths;
+  uint64_t goal_paths;
+  int64_t distinct_statuses;
+};
+
+void PrintTo(const BrandeisCount& count, std::ostream* os) {
+  *os << count.name;
+}
+
+class BrandeisCountTest : public ::testing::TestWithParam<BrandeisCount> {};
+
+TEST_P(BrandeisCountTest, MatchesPinnedCounts) {
+  const BrandeisCount& param = GetParam();
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  auto counted =
+      CountBrandeis(dataset, param.span, param.goal, ExplorationOptions{});
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  EXPECT_EQ(counted->total_paths, param.total_paths);
+  EXPECT_EQ(counted->goal_paths, param.goal_paths);
+  EXPECT_EQ(counted->distinct_statuses, param.distinct_statuses);
+  EXPECT_FALSE(counted->saturated);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Evaluation, BrandeisCountTest,
+    ::testing::Values(
+        BrandeisCount{"Deadline4", 4, false, 178'251, 178'251, 9'935},
+        BrandeisCount{"Deadline5", 5, false, 21'095'449, 21'095'449,
+                      1'033'700},
+        BrandeisCount{"Goal4", 4, true, 524, 342, 348},
+        BrandeisCount{"Goal5", 5, true, 1'079'711, 861'717, 153'341}),
+    [](const ::testing::TestParamInfo<BrandeisCount>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+TEST(CountingTest, StatusCapIsExact) {
+  // A count fails exactly when its distinct statuses exceed max_nodes.
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  for (bool goal : {false, true}) {
+    auto unlimited = CountBrandeis(dataset, 4, goal, ExplorationOptions{});
+    ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+    ExplorationOptions options;
+    options.limits.max_nodes = unlimited->distinct_statuses;
+    auto at_cap = CountBrandeis(dataset, 4, goal, options);
+    ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+    EXPECT_EQ(at_cap->total_paths, unlimited->total_paths);
+    options.limits.max_nodes = unlimited->distinct_statuses - 1;
+    auto over_cap = CountBrandeis(dataset, 4, goal, options);
+    EXPECT_TRUE(over_cap.status().IsResourceExhausted())
+        << "goal=" << goal << ": " << over_cap.status().ToString();
+  }
+}
+
+/// Property: layered counts equal materialized leaf counts, for both
 /// generators, across random catalogs and spans.
 struct CountCase {
   uint64_t seed;

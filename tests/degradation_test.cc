@@ -89,7 +89,7 @@ TEST_F(DegradationTest, NodeStarvedRequestDescendsToCounting) {
   ExplorationRequest request = GoalRequest(5);
   request.options.limits.max_nodes = 500;  // kills both graph rungs
   DegradationPolicy policy;
-  policy.count_max_nodes = 1 << 20;  // counting memoizes; lift its cap
+  policy.count_max_nodes = 1 << 20;  // counting caps statuses; lift it
   auto degraded = ExploreWithDegradation(navigator_, request, policy);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_TRUE(degraded->report.degraded);

@@ -50,6 +50,24 @@ TEST(JsonParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(JsonValue::Parse(R"("\q")").ok());
 }
 
+TEST(JsonParseTest, NestingIsCappedAt256Levels) {
+  auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_TRUE(JsonValue::Parse(nested(256)).ok());
+  auto too_deep = JsonValue::Parse(nested(257));
+  EXPECT_TRUE(too_deep.status().IsParseError()) << too_deep.status().ToString();
+  auto mixed = JsonValue::Parse(std::string(200, '[') + std::string(100, '{'));
+  EXPECT_TRUE(mixed.status().IsParseError()) << mixed.status().ToString();
+}
+
+TEST(JsonParseTest, HundredThousandOpenBracketsAreAParseError) {
+  // Deep enough to overflow the stack if the parser recursed without a cap.
+  auto parsed = JsonValue::Parse(std::string(100'000, '['));
+  EXPECT_TRUE(parsed.status().IsParseError()) << parsed.status().ToString();
+}
+
 TEST(JsonParseTest, WhitespaceTolerated) {
   auto v = JsonValue::Parse("  {\n \"a\" :\t1 }  ");
   ASSERT_TRUE(v.ok());

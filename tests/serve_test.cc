@@ -336,6 +336,22 @@ TEST(ServerTest, MalformedAndOversizedRequestsAreRejected) {
   EXPECT_TRUE(server.Drain(5.0).ok());
 }
 
+TEST(ServerTest, DeeplyNestedPayloadIsRejected) {
+  // 100 KB of '[' fits the default frame limit, so the parser's nesting cap
+  // is what must turn it away.
+  ExplorationServer server(&Dataset().catalog, &Dataset().schedule);
+  server.Start();
+  Result<JsonValue> answer =
+      JsonValue::Parse(server.Handle(std::string(100'000, '[')));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  Result<ResponseEnvelope> envelope = ResponseEnvelope::FromJson(*answer);
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  EXPECT_EQ(envelope->outcome, ResponseOutcome::kRejected);
+  EXPECT_TRUE(envelope->status.IsParseError()) << envelope->status.ToString();
+  EXPECT_EQ(server.Stats().rejected, 1);
+  EXPECT_TRUE(server.Drain(5.0).ok());
+}
+
 TEST(ServerTest, TenantQuotasShedConcurrentFlood) {
   ServerConfig config;
   config.num_workers = 1;

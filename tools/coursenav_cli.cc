@@ -5,7 +5,7 @@
 //   goal      goal-driven learning paths with pruning (§4.2)
 //   topk      ranked top-k learning paths (§4.3)
 //   request   run a declarative ExplorationRequest JSON file (docs/planner.md)
-//   count     DAG-memoized path counting (no materialization)
+//   count     term-layered path counting (no materialization)
 //   options   the option set Y for one enrollment status
 //   validate  check a catalog JSON file (and optionally transcripts)
 //
