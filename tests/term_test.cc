@@ -58,6 +58,13 @@ struct ParseCase {
   int year;
 };
 
+// Prints a case as its input with spaces shown as '_'. The default printer
+// dumps the struct's bytes, pointer included, so the case names would change
+// with every run of the binary.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  for (const char* p = c.input; *p != '\0'; ++p) *os << (*p == ' ' ? '_' : *p);
+}
+
 class TermParseTest : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(TermParseTest, ParsesAcceptedFormats) {
