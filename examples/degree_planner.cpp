@@ -46,17 +46,17 @@ int main() {
               dataset.cs_major->Describe().c_str(),
               graduation.ToString().c_str());
 
-  Result<GenerationResult> result = navigator.ExploreGoal(
-      student, graduation, *dataset.cs_major, options);
-  if (!result.ok()) {
+  Result<std::shared_ptr<const GenerationResult>> explored =
+      navigator.ExploreGoal(student, graduation, *dataset.cs_major, options);
+  if (!explored.ok()) {
     std::fprintf(stderr, "exploration failed: %s\n",
-                 result.status().ToString().c_str());
+                 explored.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s\n",
-              RenderGraphSummary(result->graph, result->stats).c_str());
+  const GenerationResult& result = **explored;
+  std::printf("%s\n", RenderGraphSummary(result.graph, result.stats).c_str());
 
-  if (result->stats.goal_paths == 0) {
+  if (result.stats.goal_paths == 0) {
     std::printf("No path reaches the major by %s — pick a later deadline.\n",
                 graduation.ToString().c_str());
     return 0;
@@ -66,9 +66,9 @@ int main() {
   // first step of a path that still reaches the major?
   std::map<std::string, int> first_step_frequency;
   int64_t goal_leaves = 0;
-  for (NodeId leaf : result->graph.GoalNodes()) {
+  for (NodeId leaf : result.graph.GoalNodes()) {
     ++goal_leaves;
-    LearningPath path = LearningPath::FromGraph(result->graph, leaf);
+    LearningPath path = LearningPath::FromGraph(result.graph, leaf);
     if (path.steps().empty()) continue;
     path.steps()[0].selection.ForEach([&](int id) {
       ++first_step_frequency[

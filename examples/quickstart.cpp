@@ -28,7 +28,7 @@ int main() {
   options.max_courses_per_term = 3;
 
   // 3. All goal-driven learning paths to the major.
-  Result<GenerationResult> goal_result =
+  Result<std::shared_ptr<const GenerationResult>> goal_result =
       navigator.ExploreGoal(student, deadline, *dataset.cs_major, options);
   if (!goal_result.ok()) {
     std::fprintf(stderr, "goal exploration failed: %s\n",
@@ -37,12 +37,12 @@ int main() {
   }
   std::printf("=== Goal-driven exploration (CS major by %s) ===\n%s\n",
               deadline.ToString().c_str(),
-              RenderGraphSummary(goal_result->graph, goal_result->stats)
+              RenderGraphSummary((*goal_result)->graph, (*goal_result)->stats)
                   .c_str());
 
   // 4. The top-5 shortest paths (time-based ranking).
   TimeRanking ranking;
-  Result<RankedResult> ranked = navigator.ExploreTopK(
+  Result<std::shared_ptr<const RankedResult>> ranked = navigator.ExploreTopK(
       student, deadline, *dataset.cs_major, ranking, /*k=*/5, options);
   if (!ranked.ok()) {
     std::fprintf(stderr, "ranked exploration failed: %s\n",
@@ -50,6 +50,6 @@ int main() {
     return 1;
   }
   std::printf("=== Top-5 shortest paths ===\n%s",
-              RenderPaths(ranked->paths, dataset.catalog).c_str());
+              RenderPaths((*ranked)->paths, dataset.catalog).c_str());
   return 0;
 }

@@ -42,31 +42,33 @@ int main() {
 
   // Most reliable plans.
   ReliabilityRanking reliability(&model);
-  Result<RankedResult> reliable = navigator.ExploreTopK(
-      student, graduation, *dataset.cs_major, reliability, /*k=*/3, options);
-  if (!reliable.ok()) {
-    std::fprintf(stderr, "%s\n", reliable.status().ToString().c_str());
+  Result<std::shared_ptr<const RankedResult>> most_reliable =
+      navigator.ExploreTopK(student, graduation, *dataset.cs_major,
+                            reliability, /*k=*/3, options);
+  if (!most_reliable.ok()) {
+    std::fprintf(stderr, "%s\n", most_reliable.status().ToString().c_str());
     return 1;
   }
+  const RankedResult& reliable = **most_reliable;
   std::printf("=== Top-3 most reliable plans ===\n");
-  for (size_t i = 0; i < reliable->paths.size(); ++i) {
+  for (size_t i = 0; i < reliable.paths.size(); ++i) {
     double probability =
-        ReliabilityRanking::CostToReliability(reliable->paths[i].cost());
+        ReliabilityRanking::CostToReliability(reliable.paths[i].cost());
     std::printf("Plan %zu: probability %.3f that every offering runs\n",
                 i + 1, probability);
   }
-  if (!reliable->paths.empty()) {
+  if (!reliable.paths.empty()) {
     std::printf("\nMost reliable plan in full:\n%s\n",
-                reliable->paths[0].ToString(dataset.catalog).c_str());
+                reliable.paths[0].ToString(dataset.catalog).c_str());
   }
 
   // The fastest plan, for contrast: how much reliability does rushing cost?
   TimeRanking time_ranking;
-  Result<RankedResult> fastest = navigator.ExploreTopK(
+  Result<std::shared_ptr<const RankedResult>> fastest = navigator.ExploreTopK(
       student, graduation, *dataset.cs_major, time_ranking, /*k=*/1,
       options);
-  if (fastest.ok() && !fastest->paths.empty()) {
-    const LearningPath& fast = fastest->paths[0];
+  if (fastest.ok() && !(*fastest)->paths.empty()) {
+    const LearningPath& fast = (*fastest)->paths[0];
     double fast_reliability = 1.0;
     for (const PathStep& step : fast.steps()) {
       step.selection.ForEach([&](int id) {
@@ -76,12 +78,12 @@ int main() {
     }
     std::printf("Fastest plan: %d semesters, reliability %.3f\n",
                 fast.Length(), fast_reliability);
-    if (!reliable->paths.empty()) {
+    if (!reliable.paths.empty()) {
       std::printf(
           "Trade-off: the most reliable plan gives up %d semester(s) of "
           "speed for %.1fx better odds.\n",
-          reliable->paths[0].Length() - fast.Length(),
-          ReliabilityRanking::CostToReliability(reliable->paths[0].cost()) /
+          reliable.paths[0].Length() - fast.Length(),
+          ReliabilityRanking::CostToReliability(reliable.paths[0].cost()) /
               (fast_reliability > 0 ? fast_reliability : 1e-9));
     }
   }
@@ -92,12 +94,12 @@ int main() {
   // space.)
   EnrollmentStatus late_starter{Term(Season::kFall, 2013),
                                 dataset.catalog.NewCourseSet()};
-  Result<RankedResult> tight = navigator.ExploreTopK(
+  Result<std::shared_ptr<const RankedResult>> tight = navigator.ExploreTopK(
       late_starter, graduation, *dataset.cs_major, time_ranking, /*k=*/1,
       options);
-  if (tight.ok() && !tight->paths.empty()) {
+  if (tight.ok() && !(*tight)->paths.empty()) {
     Result<PlanRobustness> robustness = AnalyzePlanRobustness(
-        dataset.catalog, dataset.schedule, tight->paths[0],
+        dataset.catalog, dataset.schedule, (*tight)->paths[0],
         *dataset.cs_major, graduation, options);
     if (robustness.ok()) {
       std::printf(

@@ -121,14 +121,15 @@ int main() {
           : 0ull);
 
   // Question 3: render the on-track goal graph for the visualizer.
-  auto generation =
+  auto explored =
       navigator.ExploreGoal(on_track, horizon, **core_goal, options);
-  if (generation.ok()) {
+  if (explored.ok()) {
+    const GenerationResult& generation = **explored;
     std::printf("\nGoal graph for the on-track student: %lld nodes, "
                 "%lld goal paths.\nDOT output (first lines):\n",
-                static_cast<long long>(generation->graph.num_nodes()),
-                static_cast<long long>(generation->stats.goal_paths));
-    std::string dot = LearningGraphToDot(generation->graph, catalog);
+                static_cast<long long>(generation.graph.num_nodes()),
+                static_cast<long long>(generation.stats.goal_paths));
+    std::string dot = LearningGraphToDot(generation.graph, catalog);
     std::printf("%.400s...\n", dot.c_str());
   }
   return 0;

@@ -53,30 +53,13 @@ Result<std::string> CanonicalRequestKey(const ExplorationRequest& request,
   return json.Dump();
 }
 
-/// Deep copy of a stored canonical response. Byte-identical under
-/// traversal and export: LearningGraph::Clone preserves shard structure
-/// and ids, and every other field is value-copied.
-ExplorationResponse CloneResponse(const ExplorationResponse& src) {
-  ExplorationResponse out;
-  if (src.generation.has_value()) {
-    GenerationResult generation;
-    generation.graph = src.generation->graph.Clone();
-    generation.stats = src.generation->stats;
-    generation.termination = src.generation->termination;
-    out.generation = std::move(generation);
-  }
-  if (src.ranked.has_value()) out.ranked = *src.ranked;
-  out.paths_before_filters = src.paths_before_filters;
-  out.filter_description = src.filter_description;
-  return out;
-}
-
-/// Coarse footprint of a stored response, for the result tier's byte
-/// bound. Graph arenas dominate; ranked paths get a flat per-path charge.
+/// Footprint of a stored response, for the result tier's byte bound.
+/// Graph arenas dominate and are charged what they allocate (whole chunks,
+/// not the per-element estimate); ranked paths get a flat per-path charge.
 size_t ResponseBytes(const ExplorationResponse& response) {
   size_t bytes = sizeof(ExplorationResponse);
   if (response.generation.has_value()) {
-    bytes += response.generation->graph.MemoryUsage();
+    bytes += response.generation->graph.AllocatedBytes();
   }
   if (response.ranked.has_value()) {
     bytes += response.ranked->paths.size() * 512;
@@ -135,24 +118,29 @@ RequestCache& RequestCache::Global() {
   return *cache;
 }
 
-Result<ExplorationResponse> RequestCache::Execute(
+Result<std::shared_ptr<const ExplorationResponse>> RequestCache::Execute(
     const Catalog& catalog, const OfferingSchedule& schedule,
     const ExplorationRequest& request, CacheOutcome* outcome) {
   SetOutcome(outcome, CacheOutcome::kBypass);
+  std::optional<obs::ScopedSpan> lookup_span(std::in_place,
+                                             obs::kSpanCacheLookup);
   Result<std::string> canonical_key = CanonicalRequestKey(request, catalog);
   if (!canonical_key.ok()) {
     // In-memory goal/ranking objects with no declarative spec have no
     // stable identity to key on; execute uncached.
+    lookup_span.reset();
     Bump(tallies_.bypasses, bypasses_);
-    return plan::Execute(catalog, schedule, request);
+    COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse run,
+                               plan::Execute(catalog, schedule, request));
+    return std::make_shared<const ExplorationResponse>(std::move(run));
   }
 
   const CatalogEpoch epoch =
       EpochRegistry::Global().Current(catalog, schedule);
   const std::string result_key = TokenHex(epoch.token) + '|' + *canonical_key;
 
-  // Result tier: a hit hands back a deep copy of the stored canonical
-  // response — same graph bytes, path order, and stats as the cold run.
+  // Result tier: a hit hands back the stored canonical response itself —
+  // the very object the cold run produced, immutable since it was stored.
   std::shared_ptr<const ExplorationResponse> stored;
   {
     MutexLock lock(result_mu_);
@@ -166,7 +154,7 @@ Result<ExplorationResponse> RequestCache::Execute(
   if (stored != nullptr) {
     Bump(tallies_.result_hits, result_hits_);
     SetOutcome(outcome, CacheOutcome::kHit);
-    return CloneResponse(*stored);
+    return stored;
   }
   Bump(tallies_.result_misses, result_misses_);
   SetOutcome(outcome, CacheOutcome::kMiss);
@@ -184,6 +172,7 @@ Result<ExplorationResponse> RequestCache::Execute(
       plan = it->second->second;
     }
   }
+  lookup_span.reset();
   if (plan.has_value()) {
     Bump(tallies_.plan_hits, plan_hits_);
     // The cached plan was lowered from a canonically identical request;
@@ -222,27 +211,28 @@ Result<ExplorationResponse> RequestCache::Execute(
     hooks.shared_availability = availability.get();
   }
 
-  Result<ExplorationResponse> run =
-      plan::Executor(&catalog, &schedule).Run(*plan, hooks);
-  COURSENAV_RETURN_IF_ERROR(run.status());
+  COURSENAV_ASSIGN_OR_RETURN(
+      ExplorationResponse run,
+      plan::Executor(&catalog, &schedule).Run(*plan, hooks));
+  // One object serves the caller and, when stored, every later hit.
+  auto response = std::make_shared<const ExplorationResponse>(std::move(run));
 
   // Insert only complete runs, and only when the epoch we keyed on is
   // still current: a run that raced a churn fault or an Invalidate() may
   // have observed perturbed offerings and must never be served again.
   const Status* termination = nullptr;
-  if (run->generation.has_value()) {
-    termination = &run->generation->termination;
-  } else if (run->ranked.has_value()) {
-    termination = &run->ranked->termination;
+  if (response->generation.has_value()) {
+    termination = &response->generation->termination;
+  } else if (response->ranked.has_value()) {
+    termination = &response->ranked->termination;
   }
   if (termination != nullptr && termination->ok()) {
     const CatalogEpoch after =
         EpochRegistry::Global().Current(catalog, schedule);
     if (after.token == epoch.token) {
       ResultEntry entry;
-      entry.response =
-          std::make_shared<const ExplorationResponse>(CloneResponse(*run));
-      entry.bytes = ResponseBytes(*entry.response);
+      entry.response = response;
+      entry.bytes = ResponseBytes(*response);
       MutexLock lock(result_mu_);
       if (results_.index.find(result_key) == results_.index.end()) {
         result_bytes_ += entry.bytes;
@@ -260,7 +250,7 @@ Result<ExplorationResponse> RequestCache::Execute(
       }
     }
   }
-  return run;
+  return response;
 }
 
 Result<uint64_t> RequestCache::CountGoalPaths(

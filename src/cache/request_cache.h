@@ -40,7 +40,7 @@ enum class CacheOutcome {
   /// Cacheable, but no prior result at the current epoch. Executed and
   /// (when it completed) inserted.
   kMiss,
-  /// Served from a prior run's canonical result, byte-identically.
+  /// Served from a prior run's canonical result: the stored object itself.
   kHit,
 };
 
@@ -51,7 +51,8 @@ std::string_view CacheOutcomeName(CacheOutcome outcome);
 Result<CacheOutcome> ParseCacheOutcome(std::string_view name);
 
 /// Capacity bounds of the process-wide tiers. Every tier is LRU within its
-/// bound; the result tier is additionally byte-bounded (graphs dominate).
+/// bound; the result tier is additionally byte-bounded (graphs dominate,
+/// charged the arena bytes they allocate).
 struct CacheConfig {
   size_t plan_capacity = 128;
   size_t result_capacity = 64;
@@ -92,9 +93,12 @@ struct CacheStats {
 ///      epoch rotation — and might have observed perturbed offerings — is
 ///      returned to its caller but never cached.
 ///
-/// Determinism: a result hit returns a deep copy of the stored canonical
-/// response, byte-identical to what the original (cold) run produced —
-/// graphs, path order, and stats alike. Only complete (termination-OK)
+/// Determinism: a result hit returns the stored canonical response itself
+/// — the object the original (cold) run produced, so graphs, path order,
+/// and stats are the cold run's by construction. A response is immutable
+/// once stored, and the caller's shared_ptr keeps it alive after it is
+/// evicted, or dropped by Clear() or Invalidate(); the byte bound counts
+/// only the entries still in the tier. Only complete (termination-OK)
 /// runs are stored, which is what makes the thread-count- and
 /// wall-clock-budget-free result key sound (see docs/caching.md).
 ///
@@ -114,12 +118,14 @@ class RequestCache {
 
   /// Cache-aware replacement for plan::Execute: lowers and runs `request`
   /// against (catalog, schedule), consulting the plan and result tiers and
-  /// threading the epoch's shared availability tier into the run.
+  /// threading the epoch's shared availability tier into the run. A hit
+  /// returns the stored response; a miss returns the fresh run, which is
+  /// also the object stored when the run completed at a stable epoch; a
+  /// bypass returns the fresh run unstored. Never null on success.
   /// `outcome` (optional) reports how the answer was produced.
-  Result<ExplorationResponse> Execute(const Catalog& catalog,
-                                      const OfferingSchedule& schedule,
-                                      const ExplorationRequest& request,
-                                      CacheOutcome* outcome = nullptr);
+  Result<std::shared_ptr<const ExplorationResponse>> Execute(
+      const Catalog& catalog, const OfferingSchedule& schedule,
+      const ExplorationRequest& request, CacheOutcome* outcome = nullptr);
 
   /// Cache-aware goal-path count (core/counting.h), shared across
   /// sessions. `goal` is held by shared_ptr: each cached entry pins its

@@ -104,6 +104,22 @@ LearningGraph::CreatedChild LearningGraph::AddChildTo(
   return CreatedChild{child_id, &stored};
 }
 
+size_t LearningGraph::AllocatedBytes() const {
+  size_t total = shards_.capacity() * sizeof(Shard);
+  for (const Shard& shard : shards_) {
+    total += shard.nodes.AllocatedBytes() + shard.edges.AllocatedBytes();
+    for (size_t i = 0; i < shard.nodes.size(); ++i) {
+      const LearningNode& node = shard.nodes[i];
+      total += node.completed.MemoryUsage() + node.options.MemoryUsage() +
+               node.out_edges.capacity() * sizeof(EdgeId);
+    }
+    for (size_t i = 0; i < shard.edges.size(); ++i) {
+      total += shard.edges[i].selection.MemoryUsage();
+    }
+  }
+  return total;
+}
+
 std::vector<NodeId> LearningGraph::GoalNodes() const {
   std::vector<NodeId> out;
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -220,24 +236,6 @@ void LearningGraph::CheckInvariants() const {
           << "canonical numbering must order parents before children";
     }
   }
-}
-
-LearningGraph LearningGraph::Clone() const {
-  LearningGraph out;
-  out.shards_.resize(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& src = shards_[s];
-    Shard& dst = out.shards_[s];
-    for (size_t i = 0; i < src.nodes.size(); ++i) {
-      dst.nodes.push_back(src.nodes[i]);
-    }
-    for (size_t i = 0; i < src.edges.size(); ++i) {
-      dst.edges.push_back(src.edges[i]);
-    }
-    dst.memory_bytes = src.memory_bytes;
-    dst.allocation_failed = src.allocation_failed;
-  }
-  return out;
 }
 
 void LearningGraph::Canonicalize() {

@@ -191,6 +191,14 @@ class LearningGraph {
     return total;
   }
 
+  /// Heap bytes the graph actually holds: every allocated arena chunk
+  /// (chunks hold 1,024 slots, so a one-node graph holds a whole node
+  /// chunk) plus each node's out-edge list and any bitset words spilled to
+  /// the heap. MemoryUsage() instead charges sizeof per stored element, the
+  /// estimate the generators' budgets use. O(nodes + edges); only safe
+  /// once workers have joined.
+  size_t AllocatedBytes() const;
+
   /// Per-shard memory footprint — safe for the owning worker to poll while
   /// the run is live (feeds the parallel engine's atomic budget counters).
   size_t ShardMemoryUsage(int shard) const {
@@ -238,15 +246,6 @@ class LearningGraph {
   /// whatever was materialized. No-op for single-shard graphs (a serial run
   /// is already canonical).
   void Canonicalize();
-
-  /// Deep copy. The graph class is deliberately move-only (accidental
-  /// copies of million-node arenas are bugs), so the one legitimate
-  /// copy — the epoch-keyed result cache handing a cached canonical graph
-  /// to a new request — is explicit. Preserves shard structure, ids,
-  /// memory accounting, and the allocation-failure flags, so the clone is
-  /// byte-identical to the original under traversal, export, and
-  /// CheckInvariants.
-  LearningGraph Clone() const;
 
  private:
   /// Test-only backdoor (tests/lint_test.cc): hand-corrupts arenas to

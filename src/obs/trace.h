@@ -264,6 +264,7 @@ inline constexpr std::string_view kSpanDegradeLadder = "degrade/ladder";
 inline constexpr std::string_view kSpanDegradeRung = "degrade/rung";
 inline constexpr std::string_view kSpanSessionQuery = "session/query";
 inline constexpr std::string_view kSpanPlanLower = "plan/lower";
+inline constexpr std::string_view kSpanCacheLookup = "cache/lookup";
 inline constexpr std::string_view kSpanServeRequest = "serve/request";
 inline constexpr std::string_view kSpanServeAdmissionWait =
     "serve/admission_wait";

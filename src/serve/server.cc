@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -327,7 +328,7 @@ void ExplorationServer::Execute(const std::shared_ptr<Ticket>& ticket) {
         out.degradation = answer.report;
         out.result = answer.count.has_value()
                          ? BuildCountPayload(*answer.count)
-                         : BuildResultPayload(answer.response,
+                         : BuildResultPayload(*answer.response,
                                               ticket->full_payload,
                                               navigator_.catalog());
       } else {
@@ -335,21 +336,22 @@ void ExplorationServer::Execute(const std::shared_ptr<Ticket>& ticket) {
         out.status = degraded.status();
       }
     } else {
-      Result<ExplorationResponse> response =
+      Result<std::shared_ptr<const ExplorationResponse>> response =
           navigator_.Explore(ticket->request, &cache_outcome);
       if (response.ok()) {
+        const ExplorationResponse& answer = **response;
         const Status& termination =
-            response->generation.has_value()
-                ? response->generation->termination
-                : (response->ranked.has_value() ? response->ranked->termination
-                                                : Status::OK());
+            answer.generation.has_value()
+                ? answer.generation->termination
+                : (answer.ranked.has_value() ? answer.ranked->termination
+                                             : Status::OK());
         if (termination.ok()) {
           out.outcome = ResponseOutcome::kOk;
         } else {
           out.outcome = OutcomeForStatus(termination);
           out.status = termination;
         }
-        out.result = BuildResultPayload(*response, ticket->full_payload,
+        out.result = BuildResultPayload(answer, ticket->full_payload,
                                         navigator_.catalog());
       } else {
         out.outcome = OutcomeForStatus(response.status());

@@ -1,6 +1,7 @@
 #include "service/degradation.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -298,7 +299,7 @@ Result<DegradedResponse> ExploreWithDegradation(
     }
 
     cache::CacheOutcome rung_outcome = cache::CacheOutcome::kDisabled;
-    Result<ExplorationResponse> response =
+    Result<std::shared_ptr<const ExplorationResponse>> response =
         navigator.Explore(attempt, &rung_outcome);
     rung.seconds_spent = overall.ElapsedSeconds() - started;
     if (!response.ok()) {
@@ -311,8 +312,8 @@ Result<DegradedResponse> ExploreWithDegradation(
       continue;
     }
 
-    rung.nodes_created = ResponseNodes(*response);
-    Status termination = ResponseTermination(*response);
+    rung.nodes_created = ResponseNodes(**response);
+    Status termination = ResponseTermination(**response);
     if (termination.IsCancelled()) return termination;
     if (termination.ok()) {
       rung.outcome = Status::OK();
@@ -331,9 +332,9 @@ Result<DegradedResponse> ExploreWithDegradation(
     // best partial answer the ladder can salvage.
     rung.outcome = termination;
     archive_rung();
-    if (HasPartialPayload(*response) &&
+    if (HasPartialPayload(**response) &&
         (!have_partial ||
-         ResponseNodes(*response) >= ResponseNodes(best.response))) {
+         ResponseNodes(**response) >= ResponseNodes(*best.response))) {
       best.response = std::move(response).value();
       have_partial = true;
       partial_level = level;

@@ -1,6 +1,7 @@
 #ifndef COURSENAV_SERVICE_DEGRADATION_H_
 #define COURSENAV_SERVICE_DEGRADATION_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -60,12 +61,17 @@ struct DegradationReport {
   static Result<DegradationReport> FromJson(const JsonValue& json);
 };
 
-/// A response that survived the ladder. Exactly one payload is populated:
-/// `response.generation` / `response.ranked` for materializing rungs, or
-/// `count` for the kCountOnly rung. When `report.exhausted` is set the
-/// populated payload is partial (budget-truncated) rather than complete.
+/// A response that survived the ladder. The answer is `count` when the
+/// kCountOnly rung served, and `response` when a materializing rung did;
+/// `response` is null when no materializing rung produced anything. When
+/// `report.exhausted` is set the answer is partial (budget-truncated)
+/// rather than complete.
+///
+/// `response` is the navigator's shared, immutable answer: a rung served
+/// from the request cache points at the stored object itself, which this
+/// pointer keeps alive after the cache evicts or drops it.
 struct DegradedResponse {
-  ExplorationResponse response;
+  std::shared_ptr<const ExplorationResponse> response;
   std::optional<CountingResult> count;
   DegradationReport report;
 };

@@ -20,29 +20,33 @@ std::shared_ptr<const T> Borrow(const T& object) {
 
 }  // namespace
 
-Result<ExplorationResponse> CourseNavigator::Explore(
+Result<std::shared_ptr<const ExplorationResponse>> CourseNavigator::Explore(
     const ExplorationRequest& request, cache::CacheOutcome* outcome) const {
   if (cache_ == nullptr) {
     if (outcome != nullptr) *outcome = cache::CacheOutcome::kDisabled;
-    return plan::Execute(*catalog_, *schedule_, request);
+    COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse response,
+                               plan::Execute(*catalog_, *schedule_, request));
+    return std::make_shared<const ExplorationResponse>(std::move(response));
   }
   return cache_->Execute(*catalog_, *schedule_, request, outcome);
 }
 
-Result<GenerationResult> CourseNavigator::ExploreDeadline(
-    const EnrollmentStatus& start, Term end_term,
-    const ExplorationOptions& options) const {
+Result<std::shared_ptr<const GenerationResult>>
+CourseNavigator::ExploreDeadline(const EnrollmentStatus& start, Term end_term,
+                                 const ExplorationOptions& options) const {
   ExplorationRequest request;
   request.start = start;
   request.end_term = end_term;
   request.type = TaskType::kDeadlineDriven;
   request.options = options;
-  COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse response, Explore(request));
-  CN_CHECK(response.generation.has_value());
-  return std::move(*response.generation);
+  COURSENAV_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ExplorationResponse> response, Explore(request));
+  CN_CHECK(response->generation.has_value());
+  return std::shared_ptr<const GenerationResult>(response,
+                                                 &*response->generation);
 }
 
-Result<GenerationResult> CourseNavigator::ExploreGoal(
+Result<std::shared_ptr<const GenerationResult>> CourseNavigator::ExploreGoal(
     const EnrollmentStatus& start, Term end_term, const Goal& goal,
     const ExplorationOptions& options, const GoalDrivenConfig& config) const {
   ExplorationRequest request;
@@ -52,12 +56,14 @@ Result<GenerationResult> CourseNavigator::ExploreGoal(
   request.goal = Borrow(goal);
   request.options = options;
   request.config = config;
-  COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse response, Explore(request));
-  CN_CHECK(response.generation.has_value());
-  return std::move(*response.generation);
+  COURSENAV_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ExplorationResponse> response, Explore(request));
+  CN_CHECK(response->generation.has_value());
+  return std::shared_ptr<const GenerationResult>(response,
+                                                 &*response->generation);
 }
 
-Result<RankedResult> CourseNavigator::ExploreTopK(
+Result<std::shared_ptr<const RankedResult>> CourseNavigator::ExploreTopK(
     const EnrollmentStatus& start, Term end_term, const Goal& goal,
     const RankingFunction& ranking, int k, const ExplorationOptions& options,
     const GoalDrivenConfig& config) const {
@@ -70,9 +76,10 @@ Result<RankedResult> CourseNavigator::ExploreTopK(
   request.top_k = k;
   request.options = options;
   request.config = config;
-  COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse response, Explore(request));
-  CN_CHECK(response.ranked.has_value());
-  return std::move(*response.ranked);
+  COURSENAV_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ExplorationResponse> response, Explore(request));
+  CN_CHECK(response->ranked.has_value());
+  return std::shared_ptr<const RankedResult>(response, &*response->ranked);
 }
 
 Result<CountingResult> CourseNavigator::CountDeadline(

@@ -1,6 +1,8 @@
 #ifndef COURSENAV_SERVICE_NAVIGATOR_H_
 #define COURSENAV_SERVICE_NAVIGATOR_H_
 
+#include <memory>
+
 #include "cache/request_cache.h"
 #include "catalog/catalog.h"
 #include "catalog/schedule.h"
@@ -33,34 +35,37 @@ class CourseNavigator {
   /// Routes Explore() through `cache` (typically
   /// cache::RequestCache::Global()): plans and complete canonical results
   /// are reused across requests, sessions, and serve workers of the same
-  /// catalog epoch. Pass nullptr to detach. The cached path returns
-  /// byte-identical responses (docs/caching.md), so enabling the cache is
-  /// purely an operational decision. The cache must outlive the navigator.
+  /// catalog epoch. Pass nullptr to detach. A cache hit is the stored
+  /// response of the run that filled it (docs/caching.md), so enabling the
+  /// cache is purely an operational decision. The cache must outlive the
+  /// navigator.
   void EnableCache(cache::RequestCache* cache) { cache_ = cache; }
   bool cache_enabled() const { return cache_ != nullptr; }
 
   /// Lowers `request` into a plan and executes it. Fails on inconsistent
   /// requests (missing goal/ranking, bad window, foreign course sets).
-  /// `outcome` (optional) reports how the cache participated —
-  /// kDisabled when no cache is wired.
-  Result<ExplorationResponse> Explore(const ExplorationRequest& request,
-                                      cache::CacheOutcome* outcome = nullptr)
-      const;
+  /// The response is shared and immutable: a cache hit hands out the
+  /// stored object, which the returned pointer keeps alive after the
+  /// cache evicts or drops it. Never null on success. `outcome` (optional)
+  /// reports how the cache participated — kDisabled when no cache is
+  /// wired.
+  Result<std::shared_ptr<const ExplorationResponse>> Explore(
+      const ExplorationRequest& request,
+      cache::CacheOutcome* outcome = nullptr) const;
 
-  /// Convenience wrappers over Explore().
-  Result<GenerationResult> ExploreDeadline(
+  /// Convenience wrappers over Explore(). Each returns a pointer into the
+  /// shared response, which it keeps alive.
+  Result<std::shared_ptr<const GenerationResult>> ExploreDeadline(
       const EnrollmentStatus& start, Term end_term,
       const ExplorationOptions& options) const;
-  Result<GenerationResult> ExploreGoal(const EnrollmentStatus& start,
-                                       Term end_term, const Goal& goal,
-                                       const ExplorationOptions& options,
-                                       const GoalDrivenConfig& config = {})
-      const;
-  Result<RankedResult> ExploreTopK(const EnrollmentStatus& start,
-                                   Term end_term, const Goal& goal,
-                                   const RankingFunction& ranking, int k,
-                                   const ExplorationOptions& options,
-                                   const GoalDrivenConfig& config = {}) const;
+  Result<std::shared_ptr<const GenerationResult>> ExploreGoal(
+      const EnrollmentStatus& start, Term end_term, const Goal& goal,
+      const ExplorationOptions& options,
+      const GoalDrivenConfig& config = {}) const;
+  Result<std::shared_ptr<const RankedResult>> ExploreTopK(
+      const EnrollmentStatus& start, Term end_term, const Goal& goal,
+      const RankingFunction& ranking, int k, const ExplorationOptions& options,
+      const GoalDrivenConfig& config = {}) const;
 
   /// Path counting without materialization (extension; see core/counting.h).
   Result<CountingResult> CountDeadline(const EnrollmentStatus& start,

@@ -4,9 +4,14 @@
 //  - Epoch identity: tokens are content-keyed (two identical datasets
 //    share one, different datasets never do), rotate on Invalidate(), and
 //    rotate per fault-injection scope and per fired churn event.
-//  - Byte-identical reuse: a warm Execute returns exactly the cold run's
-//    response — graphs, stats, even runtime_seconds — at any thread
-//    count, because the result key is thread- and wall-clock-free.
+//  - Shared reuse: a warm Execute returns the very object the cold run
+//    stored, at any thread count (the result key is thread- and
+//    wall-clock-free), and that object matches a direct plan::Execute run.
+//    A held response outlives Clear() and Invalidate() unchanged, and
+//    concurrent readers may export one stored graph while the tier is
+//    cleared under them.
+//  - The byte bound charges a graph what its arenas allocate: a one-node
+//    answer holds a whole node chunk.
 //  - Only complete runs are stored: truncated runs reuse the plan tier
 //    but never populate the result tier.
 //  - In-memory-only requests (no declarative goal spec) bypass cleanly.
@@ -23,12 +28,16 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "cache/epoch.h"
 #include "catalog/term.h"
 #include "data/brandeis_cs.h"
 #include "expr/parser.h"
+#include "graph/export.h"
+#include "graph/learning_graph.h"
 #include "obs/metrics.h"
 #include "plan/executor.h"
 #include "plan/request.h"
@@ -154,6 +163,28 @@ TEST(EpochTest, InjectionScopesAndChurnEventsRotateTheToken) {
 // Result reuse.
 // ---------------------------------------------------------------------------
 
+/// "" when `response` holds the same graph and stats as a direct,
+/// uncached plan::Execute run of `request`; otherwise the first difference.
+std::string DirectRunDifference(const Figure3Fixture& fixture,
+                                const ExplorationRequest& request,
+                                const ExplorationResponse& response) {
+  auto direct = plan::Execute(fixture.catalog, fixture.schedule, request);
+  if (!direct.ok()) return direct.status().ToString();
+  if (!direct->generation.has_value() || !response.generation.has_value()) {
+    return "no generation result";
+  }
+  std::string diff =
+      GraphDifference(direct->generation->graph, response.generation->graph);
+  if (!diff.empty()) return diff;
+  return StatsDifference(direct->generation->stats, response.generation->stats);
+}
+
+/// The graph of a generation response, exported as JSON text.
+std::string ExportedGraph(const ExplorationResponse& response,
+                          const Catalog& catalog) {
+  return LearningGraphToJson(response.generation->graph, catalog).Dump();
+}
+
 TEST(RequestCacheTest, MissThenByteIdenticalHitAcrossThreadCounts) {
   Figure3Fixture fixture;
   RequestCache cache;
@@ -163,36 +194,127 @@ TEST(RequestCacheTest, MissThenByteIdenticalHitAcrossThreadCounts) {
                             Figure3Request(fixture), &outcome);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_EQ(outcome, CacheOutcome::kMiss);
-  ASSERT_TRUE(cold->generation.has_value());
+  ASSERT_NE(*cold, nullptr);
+  ASSERT_TRUE((*cold)->generation.has_value());
 
+  // A hit hands back the object the miss stored.
   auto warm = cache.Execute(fixture.catalog, fixture.schedule,
                             Figure3Request(fixture), &outcome);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(outcome, CacheOutcome::kHit);
-  ASSERT_TRUE(warm->generation.has_value());
-  EXPECT_EQ(GraphDifference(cold->generation->graph, warm->generation->graph),
-            "");
-  EXPECT_EQ(StatsDifference(cold->generation->stats, warm->generation->stats),
-            "");
-  // A hit clones the stored canonical response verbatim — even wall time.
-  EXPECT_EQ(cold->generation->stats.runtime_seconds,
-            warm->generation->stats.runtime_seconds);
+  EXPECT_EQ(*warm, *cold);
 
   // The result key is thread-free: a 4-thread ask is served from the same
-  // canonical entry, byte-identically.
+  // canonical entry.
   auto threaded = cache.Execute(fixture.catalog, fixture.schedule,
                                 Figure3Request(fixture, /*num_threads=*/4),
                                 &outcome);
   ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
   EXPECT_EQ(outcome, CacheOutcome::kHit);
-  EXPECT_EQ(
-      GraphDifference(cold->generation->graph, threaded->generation->graph),
-      "");
+  EXPECT_EQ(*threaded, *cold);
+
+  // That one object is what an uncached run computes at either count.
+  for (int threads : {1, 4}) {
+    ExplorationRequest direct = Figure3Request(fixture, threads);
+    EXPECT_EQ(DirectRunDifference(fixture, direct, **cold), "") << threads;
+  }
 
   cache::CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.result_misses, 1);
   EXPECT_EQ(stats.result_hits, 2);
   EXPECT_EQ(stats.result_entries, 1u);
+}
+
+TEST(RequestCacheTest, HeldResponsesOutliveClearAndInvalidate) {
+  Figure3Fixture fixture;
+  RequestCache cache;
+
+  auto held = cache.Execute(fixture.catalog, fixture.schedule,
+                            Figure3Request(fixture));
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  const std::string exported = ExportedGraph(**held, fixture.catalog);
+
+  cache.Clear();
+  EXPECT_EQ(cache.Stats().result_entries, 0u);
+  EXPECT_EQ(DirectRunDifference(fixture, Figure3Request(fixture), **held), "");
+
+  // Refill, then rotate the epoch: the refilled entry becomes unreachable
+  // while both responses stay readable.
+  CacheOutcome outcome = CacheOutcome::kDisabled;
+  auto refilled = cache.Execute(fixture.catalog, fixture.schedule,
+                                Figure3Request(fixture), &outcome);
+  ASSERT_TRUE(refilled.ok()) << refilled.status().ToString();
+  EXPECT_EQ(outcome, CacheOutcome::kMiss);
+  EXPECT_NE(*refilled, *held);
+  cache.Invalidate(fixture.catalog, fixture.schedule);
+  auto recomputed = cache.Execute(fixture.catalog, fixture.schedule,
+                                  Figure3Request(fixture), &outcome);
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  EXPECT_EQ(outcome, CacheOutcome::kMiss);
+
+  for (const std::shared_ptr<const ExplorationResponse>& response :
+       {*held, *refilled}) {
+    EXPECT_EQ(DirectRunDifference(fixture, Figure3Request(fixture), *response),
+              "");
+    EXPECT_EQ(ExportedGraph(*response, fixture.catalog), exported);
+  }
+}
+
+TEST(RequestCacheTest, ConcurrentReadersExportOneStoredGraphWhileCleared) {
+  Figure3Fixture fixture;
+  RequestCache cache;
+  auto stored = cache.Execute(fixture.catalog, fixture.schedule,
+                              Figure3Request(fixture));
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  const std::string expected = ExportedGraph(**stored, fixture.catalog);
+  const ExplorationRequest request = Figure3Request(fixture);
+
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 200;
+  std::vector<int> mismatches(kReaders, 0);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      for (int i = 0; i < kRounds; ++i) {
+        auto response =
+            cache.Execute(fixture.catalog, fixture.schedule, request);
+        if (!response.ok() ||
+            ExportedGraph(**response, fixture.catalog) != expected) {
+          ++mismatches[static_cast<size_t>(r)];
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kRounds; ++i) cache.Clear();
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  for (int r = 0; r < kReaders; ++r) EXPECT_EQ(mismatches[r], 0) << r;
+  // The first reader's pointer kept its graph alive through every Clear().
+  EXPECT_EQ(ExportedGraph(**stored, fixture.catalog), expected);
+  EXPECT_GE(cache.Stats().result_hits, 1);
+}
+
+TEST(RequestCacheTest, OneNodeAnswerIsChargedItsNodeChunk) {
+  Figure3Fixture fixture;
+  RequestCache cache;
+
+  // A student who already holds every goal course: the root is the goal.
+  ExplorationRequest request = Figure3Request(fixture);
+  for (CourseId course : {fixture.c11a, fixture.c29a, fixture.c21a}) {
+    request.start.completed.set(course);
+  }
+  auto response = cache.Execute(fixture.catalog, fixture.schedule, request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ((*response)->generation->graph.num_nodes(), 1);
+  ASSERT_EQ(cache.Stats().result_entries, 1u);
+
+  const size_t node_chunk =
+      ChunkedVector<LearningNode>::kChunkSize * sizeof(LearningNode);
+  EXPECT_GE(cache.Stats().result_bytes, node_chunk);
+  // MemoryUsage() stays the per-element budget estimate.
+  EXPECT_LT((*response)->generation->graph.MemoryUsage(), node_chunk);
 }
 
 TEST(RequestCacheTest, TruncatedRunsReusePlanButNeverResults) {
@@ -207,8 +329,8 @@ TEST(RequestCacheTest, TruncatedRunsReusePlanButNeverResults) {
                              &outcome);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(outcome, CacheOutcome::kMiss);
-  ASSERT_TRUE(first->generation.has_value());
-  ASSERT_FALSE(first->generation->termination.ok());
+  ASSERT_TRUE((*first)->generation.has_value());
+  ASSERT_FALSE((*first)->generation->termination.ok());
 
   auto second = cache.Execute(fixture.catalog, fixture.schedule, request,
                               &outcome);

@@ -160,13 +160,14 @@ TEST(ChaosTest, TwoHundredSeedSweep) {
     auto degraded = ExploreWithDegradation(navigator, request);
     if (degraded.ok()) {
       EXPECT_FALSE(degraded->report.rungs.empty());
-      EXPECT_TRUE(degraded->response.generation.has_value() ||
-                  degraded->response.ranked.has_value() ||
+      EXPECT_TRUE((degraded->response != nullptr &&
+                   (degraded->response->generation.has_value() ||
+                    degraded->response->ranked.has_value())) ||
                   degraded->count.has_value());
-      if (degraded->response.generation.has_value()) {
-        EXPECT_EQ(
-            testing_util::StructureErrors(degraded->response.generation->graph),
-            "");
+      if (degraded->response != nullptr &&
+          degraded->response->generation.has_value()) {
+        const LearningGraph& graph = degraded->response->generation->graph;
+        EXPECT_EQ(testing_util::StructureErrors(graph), "");
       }
     } else {
       EXPECT_TRUE(IsCleanOutcome(degraded.status()))

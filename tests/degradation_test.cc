@@ -76,8 +76,9 @@ TEST_F(DegradationTest, GenerousBudgetServesTheFullAnswer) {
   EXPECT_FALSE(degraded->report.degraded);
   EXPECT_FALSE(degraded->report.exhausted);
   EXPECT_EQ(degraded->report.level_served, DegradationLevel::kFull);
-  ASSERT_TRUE(degraded->response.generation.has_value());
-  EXPECT_TRUE(degraded->response.generation->termination.ok());
+  ASSERT_NE(degraded->response, nullptr);
+  ASSERT_TRUE(degraded->response->generation.has_value());
+  EXPECT_TRUE(degraded->response->generation->termination.ok());
   ASSERT_EQ(degraded->report.rungs.size(), 1u);
   EXPECT_TRUE(degraded->report.rungs[0].outcome.ok());
 }
@@ -195,11 +196,13 @@ TEST_F(DegradationTest, FiftyMsDeadlineOnBlowUpAnswersWithinTwiceThat) {
   EXPECT_FALSE(degraded->report.rungs[0].outcome.ok());
   EXPECT_GT(degraded->report.rungs[0].seconds_budget, 0.0);
   // Some payload survived: a partial graph, partial top-k, or a count.
-  EXPECT_TRUE(degraded->response.generation.has_value() ||
-              degraded->response.ranked.has_value() ||
+  EXPECT_TRUE((degraded->response != nullptr &&
+               (degraded->response->generation.has_value() ||
+                degraded->response->ranked.has_value())) ||
               degraded->count.has_value());
-  if (degraded->response.generation.has_value()) {
-    const GenerationResult& generation = *degraded->response.generation;
+  if (degraded->response != nullptr &&
+      degraded->response->generation.has_value()) {
+    const GenerationResult& generation = *degraded->response->generation;
     EXPECT_EQ(testing_util::StructureErrors(generation.graph), "");
     EXPECT_EQ(testing_util::StatsErrors(generation.graph, generation.stats),
               "");
@@ -214,8 +217,9 @@ TEST_F(DegradationTest, ExhaustedLadderServesBestPartialAnswer) {
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_TRUE(degraded->report.degraded);
   EXPECT_TRUE(degraded->report.exhausted);
-  ASSERT_TRUE(degraded->response.generation.has_value());
-  const GenerationResult& generation = *degraded->response.generation;
+  ASSERT_NE(degraded->response, nullptr);
+  ASSERT_TRUE(degraded->response->generation.has_value());
+  const GenerationResult& generation = *degraded->response->generation;
   EXPECT_TRUE(generation.termination.IsResourceExhausted());
   EXPECT_LE(generation.graph.num_nodes(), 201);
   EXPECT_EQ(testing_util::StructureErrors(generation.graph), "");
@@ -264,8 +268,9 @@ TEST_F(DegradationTest, RankedRequestsFallBackToSmallerK) {
   EXPECT_EQ(degraded->report.rungs[1].level,
             DegradationLevel::kRankedSmallK);
   if (degraded->report.level_served == DegradationLevel::kRankedSmallK) {
-    ASSERT_TRUE(degraded->response.ranked.has_value());
-    EXPECT_LE(degraded->response.ranked->paths.size(), 3u);
+    ASSERT_NE(degraded->response, nullptr);
+    ASSERT_TRUE(degraded->response->ranked.has_value());
+    EXPECT_LE(degraded->response->ranked->paths.size(), 3u);
   } else {
     EXPECT_EQ(degraded->report.level_served, DegradationLevel::kCountOnly);
     EXPECT_TRUE(degraded->count.has_value());
@@ -281,13 +286,15 @@ TEST_F(DegradationTest, SessionExploreDegradedSurfacesTheReport) {
   auto degraded = session.ExploreDegraded();
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_FALSE(degraded->report.degraded);
-  EXPECT_TRUE(degraded->response.generation.has_value());
+  ASSERT_NE(degraded->response, nullptr);
+  EXPECT_TRUE(degraded->response->generation.has_value());
 
   TimeRanking ranking;
   auto ranked = session.TopKDegraded(ranking, 3);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-  ASSERT_TRUE(ranked->response.ranked.has_value());
-  EXPECT_LE(ranked->response.ranked->paths.size(), 3u);
+  ASSERT_NE(ranked->response, nullptr);
+  ASSERT_TRUE(ranked->response->ranked.has_value());
+  EXPECT_LE(ranked->response->ranked->paths.size(), 3u);
 }
 
 }  // namespace

@@ -57,22 +57,22 @@ TEST(IntegrationTest, RegistrarJsonToRankedPathsToExports) {
 
   auto response = navigator.Explore(request);
   ASSERT_TRUE(response.ok());
-  ASSERT_TRUE(response->ranked.has_value());
-  ASSERT_FALSE(response->ranked->paths.empty());
+  ASSERT_TRUE((*response)->ranked.has_value());
+  ASSERT_FALSE((*response)->ranked->paths.empty());
 
   // The shortest plan: CS1+MATH1, then CS2, then CS3 — 3 semesters.
-  const LearningPath& best = response->ranked->paths[0];
+  const LearningPath& best = (*response)->ranked->paths[0];
   EXPECT_EQ(best.Length(), 3);
   EXPECT_TRUE(best.Validate(bundle->catalog, bundle->schedule).ok());
   EXPECT_TRUE((*goal)->IsSatisfied(best.FinalCompleted()));
 
   // Visualizer back ends accept the result.
-  JsonValue json = LearningPathsToJson(response->ranked->paths,
+  JsonValue json = LearningPathsToJson((*response)->ranked->paths,
                                        bundle->catalog);
   auto reparsed = JsonValue::Parse(json.Dump());
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(reparsed->array().size(), response->ranked->paths.size());
-  std::string text = RenderPaths(response->ranked->paths, bundle->catalog);
+  EXPECT_EQ(reparsed->array().size(), (*response)->ranked->paths.size());
+  std::string text = RenderPaths((*response)->ranked->paths, bundle->catalog);
   EXPECT_NE(text.find("CS3"), std::string::npos);
 }
 
@@ -90,22 +90,22 @@ TEST(IntegrationTest, GeneratorsAgreeOnBrandeisSmallSpan) {
   auto goal_run = navigator.ExploreGoal(start, end, *dataset.cs_major,
                                         options);
   ASSERT_TRUE(goal_run.ok());
-  ASSERT_TRUE(goal_run->termination.ok());
+  ASSERT_TRUE((*goal_run)->termination.ok());
 
   auto counted = navigator.CountGoal(start, end, *dataset.cs_major, options);
   ASSERT_TRUE(counted.ok());
   EXPECT_EQ(counted->goal_paths,
-            static_cast<uint64_t>(goal_run->stats.goal_paths));
+            static_cast<uint64_t>((*goal_run)->stats.goal_paths));
   EXPECT_EQ(counted->total_paths,
-            static_cast<uint64_t>(goal_run->stats.terminal_paths));
+            static_cast<uint64_t>((*goal_run)->stats.terminal_paths));
 
   TimeRanking ranking;
   auto ranked = navigator.ExploreTopK(
       start, end, *dataset.cs_major, ranking,
-      static_cast<int>(goal_run->stats.goal_paths) + 10, options);
+      static_cast<int>((*goal_run)->stats.goal_paths) + 10, options);
   ASSERT_TRUE(ranked.ok());
-  EXPECT_EQ(static_cast<int64_t>(ranked->paths.size()),
-            goal_run->stats.goal_paths);
+  EXPECT_EQ(static_cast<int64_t>((*ranked)->paths.size()),
+            (*goal_run)->stats.goal_paths);
 
   auto deadline_count = navigator.CountDeadline(start, end, options);
   ASSERT_TRUE(deadline_count.ok());
@@ -123,12 +123,11 @@ TEST(IntegrationTest, FiltersComposeWithRankedOutput) {
                                       *dataset.cs_major, ranking, 50,
                                       options);
   ASSERT_TRUE(ranked.ok());
-  ASSERT_FALSE(ranked->paths.empty());
+  ASSERT_FALSE((*ranked)->paths.empty());
 
   MaxTermWorkloadFilter light_terms(&dataset.catalog, 27.0);
-  std::vector<LearningPath> kept =
-      FilterPaths(ranked->paths, light_terms);
-  EXPECT_LE(kept.size(), ranked->paths.size());
+  std::vector<LearningPath> kept = FilterPaths((*ranked)->paths, light_terms);
+  EXPECT_LE(kept.size(), (*ranked)->paths.size());
   for (const LearningPath& path : kept) {
     EXPECT_TRUE(light_terms.Keep(path));
   }
@@ -144,9 +143,9 @@ TEST(IntegrationTest, AnalyticsMatchesCountsOnGoalGraph) {
                                    *dataset.cs_major, options);
   ASSERT_TRUE(run.ok());
   GraphAnalytics analytics =
-      AnalyzeLearningGraph(run->graph, dataset.catalog);
+      AnalyzeLearningGraph((*run)->graph, dataset.catalog);
   EXPECT_EQ(analytics.goal_path_count,
-            static_cast<uint64_t>(run->stats.goal_paths));
+            static_cast<uint64_t>((*run)->stats.goal_paths));
   // Every core course is on every goal path (all 7 are mandatory).
   for (const std::string& code : dataset.core_codes) {
     CourseId id = *dataset.catalog.FindByCode(code);
@@ -155,7 +154,7 @@ TEST(IntegrationTest, AnalyticsMatchesCountsOnGoalGraph) {
   // Cross-check one elective's count by brute force.
   CourseId elective = *dataset.catalog.FindByCode("COSI2A");
   uint64_t brute = 0;
-  for (const LearningPath& path : GoalPaths(run->graph)) {
+  for (const LearningPath& path : GoalPaths((*run)->graph)) {
     if (path.FinalCompleted().test(elective)) ++brute;
   }
   EXPECT_EQ(analytics.course_path_counts[static_cast<size_t>(elective)],

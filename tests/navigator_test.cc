@@ -31,9 +31,9 @@ TEST_F(NavigatorTest, DeadlineRequestDispatches) {
   request.type = TaskType::kDeadlineDriven;
   auto response = navigator_.Explore(request);
   ASSERT_TRUE(response.ok());
-  ASSERT_TRUE(response->generation.has_value());
-  EXPECT_FALSE(response->ranked.has_value());
-  EXPECT_EQ(response->generation->graph.num_nodes(), 9);
+  ASSERT_TRUE((*response)->generation.has_value());
+  EXPECT_FALSE((*response)->ranked.has_value());
+  EXPECT_EQ((*response)->generation->graph.num_nodes(), 9);
 }
 
 TEST_F(NavigatorTest, GoalRequestDispatches) {
@@ -44,8 +44,8 @@ TEST_F(NavigatorTest, GoalRequestDispatches) {
   request.goal = AllThree();
   auto response = navigator_.Explore(request);
   ASSERT_TRUE(response.ok());
-  ASSERT_TRUE(response->generation.has_value());
-  EXPECT_EQ(response->generation->stats.goal_paths, 1);
+  ASSERT_TRUE((*response)->generation.has_value());
+  EXPECT_EQ((*response)->generation->stats.goal_paths, 1);
 }
 
 TEST_F(NavigatorTest, RankedRequestDispatches) {
@@ -58,10 +58,10 @@ TEST_F(NavigatorTest, RankedRequestDispatches) {
   request.top_k = 2;
   auto response = navigator_.Explore(request);
   ASSERT_TRUE(response.ok());
-  ASSERT_TRUE(response->ranked.has_value());
-  EXPECT_FALSE(response->generation.has_value());
-  EXPECT_LE(response->ranked->paths.size(), 2u);
-  EXPECT_FALSE(response->ranked->paths.empty());
+  ASSERT_TRUE((*response)->ranked.has_value());
+  EXPECT_FALSE((*response)->generation.has_value());
+  EXPECT_LE((*response)->ranked->paths.size(), 2u);
+  EXPECT_FALSE((*response)->ranked->paths.empty());
 }
 
 TEST_F(NavigatorTest, MissingGoalRejected) {

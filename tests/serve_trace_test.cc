@@ -193,6 +193,26 @@ TEST(TraceOptInTest, OptInReturnsSpanTreeCoveringAllStages) {
   server.Shutdown();
 }
 
+TEST(TraceOptInTest, CachedRequestsTraceTheCacheLookup) {
+  ServerConfig config;
+  config.enable_cache = true;
+  ExplorationServer server(&Dataset().catalog, &Dataset().schedule, config);
+  server.Start();
+  // The first ask fills the result tier (or hits an earlier fill); the
+  // second is a hit. Both probe the cache under a cache/lookup span.
+  for (const char* id : {"r1", "r2"}) {
+    ResponseEnvelope response =
+        server.HandleRequest(TracedPayload("alice", id));
+    ASSERT_EQ(response.outcome, ResponseOutcome::kOk)
+        << response.status.ToString();
+#if COURSENAV_TRACING
+    const std::multiset<std::string> names = SpanNames(response.trace);
+    EXPECT_GE(names.count(std::string(obs::kSpanCacheLookup)), 1u) << id;
+#endif
+  }
+  server.Shutdown();
+}
+
 TEST(TraceOptInTest, SpanTreeRoundTripsOverTheSocket) {
   ExplorationServer core(&Dataset().catalog, &Dataset().schedule);
   core.Start();

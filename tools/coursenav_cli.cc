@@ -121,8 +121,8 @@ serve flags:
   --no-degrade         answer budget blow-ups with timeouts instead of the
                        degradation ladder
   --cache=on|off       route execution through the process-wide epoch-keyed
-                       request cache (default on; warm answers are
-                       byte-identical to cold ones — see docs/caching.md)
+                       request cache (default on; a warm answer is the
+                       stored cold answer itself — see docs/caching.md)
   --serve-seconds=<s>  serve for s seconds, then drain and exit
                        (default 0: serve until stdin reaches EOF)
   --drain-seconds=<s>  drain budget before in-flight work is cancelled
@@ -445,11 +445,11 @@ Status EmitDegraded(const FlagSet& flags, const CommonArgs& common,
   if (degraded.count.has_value()) {
     return EmitCount(*degraded.count);
   }
-  if (degraded.response.generation.has_value()) {
-    return EmitGeneration(flags, common, *degraded.response.generation);
+  if (degraded.response->generation.has_value()) {
+    return EmitGeneration(flags, common, *degraded.response->generation);
   }
-  if (degraded.response.ranked.has_value()) {
-    const RankedResult& ranked = *degraded.response.ranked;
+  if (degraded.response->ranked.has_value()) {
+    const RankedResult& ranked = *degraded.response->ranked;
     COURSENAV_ASSIGN_OR_RETURN(int64_t limit, flags.GetInt("limit", 10));
     std::printf("%s", RenderPaths(ranked.paths, *common.catalog,
                                   static_cast<int>(limit))
@@ -479,9 +479,10 @@ Status RunExplore(const FlagSet& flags) {
         ExploreWithDegradation(navigator, request));
     return EmitDegraded(flags, common, degraded);
   }
-  COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse response,
-                             navigator.Explore(request));
-  return EmitGeneration(flags, common, *response.generation);
+  COURSENAV_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ExplorationResponse> response,
+      navigator.Explore(request));
+  return EmitGeneration(flags, common, *response->generation);
 }
 
 Status RunGoal(const FlagSet& flags) {
@@ -501,9 +502,10 @@ Status RunGoal(const FlagSet& flags) {
         ExploreWithDegradation(navigator, request));
     return EmitDegraded(flags, common, degraded);
   }
-  COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse response,
-                             navigator.Explore(request));
-  return EmitGeneration(flags, common, *response.generation);
+  COURSENAV_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ExplorationResponse> response,
+      navigator.Explore(request));
+  return EmitGeneration(flags, common, *response->generation);
 }
 
 Status RunTopK(const FlagSet& flags) {
@@ -564,9 +566,10 @@ Status RunTopK(const FlagSet& flags) {
         ExploreWithDegradation(navigator, request));
     return EmitDegraded(flags, common, degraded);
   }
-  COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse response,
-                             navigator.Explore(request));
-  return EmitRanked(flags, common, response);
+  COURSENAV_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ExplorationResponse> response,
+      navigator.Explore(request));
+  return EmitRanked(flags, common, *response);
 }
 
 /// `coursenav request`: the whole exploration is a JSON document. The
@@ -595,12 +598,13 @@ Status RunRequest(const FlagSet& flags) {
         ExploreWithDegradation(navigator, request));
     return EmitDegraded(flags, common, degraded);
   }
-  COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse response,
-                             navigator.Explore(request));
-  if (response.ranked.has_value()) {
-    return EmitRanked(flags, common, response);
+  COURSENAV_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ExplorationResponse> response,
+      navigator.Explore(request));
+  if (response->ranked.has_value()) {
+    return EmitRanked(flags, common, *response);
   }
-  return EmitGeneration(flags, common, *response.generation);
+  return EmitGeneration(flags, common, *response->generation);
 }
 
 Status RunCount(const FlagSet& flags) {
