@@ -108,6 +108,18 @@ class BenchReport {
   std::vector<JsonValue::Object> rows_;
 };
 
+/// Adds a materializing row's graph-size columns: `bytes_per_node` (the
+/// graph's `MemoryUsage()` estimate per node, the figure its memory budget
+/// enforces) and `arena_bytes` (`AllocatedBytes()`, the arena chunks and
+/// spilled bitset words it really held).
+inline void AddGraphBytes(int64_t nodes, size_t memory_bytes,
+                          size_t allocated_bytes, JsonValue::Object* row) {
+  (*row)["bytes_per_node"] =
+      nodes > 0 ? static_cast<double>(memory_bytes) / static_cast<double>(nodes)
+                : 0.0;
+  (*row)["arena_bytes"] = static_cast<int64_t>(allocated_bytes);
+}
+
 /// Fixed-width text table, printed in the paper's row/column layout.
 class TextTable {
  public:

@@ -94,18 +94,11 @@ bool SameGraph(const LearningGraph& a, const LearningGraph& b) {
   for (NodeId id = 0; id < a.num_nodes(); ++id) {
     const LearningNode& na = a.node(id);
     const LearningNode& nb = b.node(id);
-    if (na.term != nb.term || na.completed != nb.completed ||
-        na.options != nb.options || na.parent_edge != nb.parent_edge ||
-        na.out_edges != nb.out_edges || na.is_goal != nb.is_goal ||
-        na.path_cost != nb.path_cost) {
-      return false;
-    }
-  }
-  for (EdgeId id = 0; id < a.num_edges(); ++id) {
-    const LearningEdge& ea = a.edge(id);
-    const LearningEdge& eb = b.edge(id);
-    if (ea.from != eb.from || ea.to != eb.to ||
-        ea.selection != eb.selection || ea.cost != eb.cost) {
+    if (na.term != nb.term || na.parent != nb.parent ||
+        na.completed != nb.completed || na.options != nb.options ||
+        na.selection != nb.selection || na.edge_cost != nb.edge_cost ||
+        na.path_cost != nb.path_cost || na.out_edges != nb.out_edges ||
+        na.is_goal != nb.is_goal) {
       return false;
     }
   }

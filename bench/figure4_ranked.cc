@@ -76,6 +76,9 @@ void Run(const bench::BenchArgs& args) {
       json_row["nodes"] = result.stats.nodes_created;
       json_row["paths_returned"] =
           static_cast<int64_t>(result.paths.size());
+      bench::AddGraphBytes(result.stats.nodes_created,
+                           result.graph_memory_bytes,
+                           result.graph_allocated_bytes, &json_row);
       report.AddRow(std::move(json_row));
       row.push_back(StrFormat("%.3f (%zu paths)",
                               result.stats.runtime_seconds,

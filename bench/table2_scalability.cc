@@ -155,6 +155,9 @@ void Run(const bench::BenchArgs& args) {
       row["terminal_paths"] = result->stats.terminal_paths;
       row["goal_paths"] = result->stats.goal_paths;
       row["complete"] = result->termination.ok();
+      bench::AddGraphBytes(result->graph.num_nodes(),
+                           result->graph.MemoryUsage(),
+                           result->graph.AllocatedBytes(), &row);
       report.AddRow(std::move(row));
     };
     report_row("deadline", deadline);

@@ -57,6 +57,31 @@ void PruningOracle::EmitStageSpans() const {
                                config_.enable_availability_pruning)});
 }
 
+void PruningOracle::EmitParallelStageSpans(
+    const std::vector<const PruningOracle*>& workers) {
+  if (workers.empty()) return;
+  std::vector<const obs::StageAccumulator*> time_stages;
+  std::vector<const obs::StageAccumulator*> availability_stages;
+  int64_t pruned_time = 0;
+  int64_t pruned_availability = 0;
+  for (const PruningOracle* oracle : workers) {
+    time_stages.push_back(&oracle->time_stage_);
+    availability_stages.push_back(&oracle->availability_stage_);
+    pruned_time += oracle->metrics_->pruned_time;
+    pruned_availability += oracle->metrics_->pruned_availability;
+  }
+  const GoalDrivenConfig& config = workers.front()->config_;
+  obs::StageAccumulator::EmitMean(
+      obs::kSpanPruneTime, time_stages,
+      {obs::SpanAttribute::Int("pruned", pruned_time),
+       obs::SpanAttribute::Int("enabled", config.enable_time_pruning)});
+  obs::StageAccumulator::EmitMean(
+      obs::kSpanPruneAvailability, availability_stages,
+      {obs::SpanAttribute::Int("pruned", pruned_availability),
+       obs::SpanAttribute::Int("enabled",
+                               config.enable_availability_pruning)});
+}
+
 void PruningOracle::CheckInvariants() const {
   const int universe =
       engine_.AvailableFrom(engine_.start()).universe_size();

@@ -257,6 +257,14 @@ class PruningOracle {
   /// accumulated strategy time. No-op without an installed tracer.
   void EmitStageSpans() const;
 
+  /// EmitStageSpans for a parallel run, over its workers' oracles: one span
+  /// per strategy at the workers' mean strategy time (so it nests inside
+  /// the run's wall-clock `expand/loop`), with `workers` and `cpu_us`
+  /// attributes and the run-total `pruned` count. No-op for no oracles or
+  /// without an installed tracer.
+  static void EmitParallelStageSpans(
+      const std::vector<const PruningOracle*>& workers);
+
   /// Structural validator (debug builds): aborts via CN_CHECK when an L1
   /// availability-cache entry is inconsistent with the run's catalog —
   /// a term index outside the exploration window, a reachable set whose

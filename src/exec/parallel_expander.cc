@@ -389,12 +389,14 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
   }
 
   // Join: fold the detached per-worker tallies into the engine's bundle
-  // (published once, by the engine, at destruction) and emit each worker's
-  // pruning stage spans.
+  // (published once, by the engine, at destruction) and emit the run's
+  // pruning stage spans, one per strategy across all workers.
+  std::vector<const PruningOracle*> oracles;
   for (const std::unique_ptr<WorkerCtx>& ctx : ctxs) {
     engine.metrics().MergeFrom(ctx->metrics);
-    if (ctx->oracle.has_value()) ctx->oracle->EmitStageSpans();
+    if (ctx->oracle.has_value()) oracles.push_back(&*ctx->oracle);
   }
+  PruningOracle::EmitParallelStageSpans(oracles);
 
   Status termination = sentinel.status();
   graph->Canonicalize();

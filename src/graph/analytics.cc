@@ -38,7 +38,7 @@ GraphAnalytics AnalyzeLearningGraph(const LearningGraph& graph,
   std::map<int, uint64_t> load_weighted;  // term -> sum of |W| over paths
   std::map<int, uint64_t> paths_at_term;  // term -> paths making a choice
   for (EdgeId edge_id = 0; edge_id < graph.num_edges(); ++edge_id) {
-    const LearningEdge& edge = graph.edge(edge_id);
+    const LearningEdge edge = graph.edge(edge_id);
     uint64_t through = goal_leaves[static_cast<size_t>(edge.to)];
     if (through == 0) continue;
     edge.selection.ForEach([&](int course) {
@@ -83,7 +83,9 @@ LearningGraph ExtractGoalSubgraph(const LearningGraph& graph) {
   }
   if (!keep[0]) return out;
 
-  // Rebuild top-down; parents always precede children in id order.
+  // Rebuild top-down; parents always precede children in id order, and a
+  // node's children hold consecutive ids, so the kept ones are added back
+  // to back (the graph's child-range contract).
   std::vector<NodeId> remap(static_cast<size_t>(graph.num_nodes()),
                             kInvalidNodeId);
   const LearningNode& root = graph.node(graph.root());
@@ -92,11 +94,10 @@ LearningGraph ExtractGoalSubgraph(const LearningGraph& graph) {
   for (NodeId id = 1; id < graph.num_nodes(); ++id) {
     if (!keep[static_cast<size_t>(id)]) continue;
     const LearningNode& node = graph.node(id);
-    const LearningEdge& edge = graph.edge(node.parent_edge);
-    NodeId parent = remap[static_cast<size_t>(edge.from)];
-    NodeId copy = out.AddChildWithPathCost(parent, edge.selection,
+    NodeId parent = remap[static_cast<size_t>(node.parent)];
+    NodeId copy = out.AddChildWithPathCost(parent, node.selection,
                                            node.completed, node.options,
-                                           edge.cost, node.path_cost);
+                                           node.edge_cost, node.path_cost);
     remap[static_cast<size_t>(id)] = copy;
     if (node.is_goal) out.MarkGoal(copy);
   }

@@ -37,7 +37,7 @@ std::string LearningGraphToDot(const LearningGraph& graph,
                      node.is_goal ? ", peripheries=2" : "");
   }
   for (EdgeId id = 0; id < graph.num_edges(); ++id) {
-    const LearningEdge& edge = graph.edge(id);
+    const LearningEdge edge = graph.edge(id);
     out += StrFormat("  n%d -> n%d [label=\"%s\"];\n", edge.from, edge.to,
                      catalog.CourseSetToString(edge.selection).c_str());
   }
@@ -60,7 +60,7 @@ JsonValue LearningGraphToJson(const LearningGraph& graph,
   }
   JsonValue::Array edges;
   for (EdgeId id = 0; id < graph.num_edges(); ++id) {
-    const LearningEdge& edge = graph.edge(id);
+    const LearningEdge edge = graph.edge(id);
     JsonValue::Object obj;
     obj["from"] = JsonValue(static_cast<int64_t>(edge.from));
     obj["to"] = JsonValue(static_cast<int64_t>(edge.to));

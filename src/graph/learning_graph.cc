@@ -11,14 +11,10 @@ namespace coursenav {
 
 namespace {
 
-size_t NodeFootprint(const LearningNode& node) {
-  return sizeof(LearningNode) + node.completed.MemoryUsage() +
-         node.options.MemoryUsage() +
-         node.out_edges.capacity() * sizeof(EdgeId);
-}
-
-size_t EdgeFootprint(const LearningEdge& edge) {
-  return sizeof(LearningEdge) + edge.selection.MemoryUsage();
+/// Heap bytes a node's bitsets spilled beyond the node itself.
+size_t BitsetHeapBytes(const LearningNode& node) {
+  return node.completed.MemoryUsage() + node.options.MemoryUsage() +
+         node.selection.MemoryUsage();
 }
 
 }  // namespace
@@ -37,7 +33,7 @@ NodeId LearningGraph::AddRoot(Term term, DynamicBitset completed,
   node.term = term;
   node.completed = std::move(completed);
   node.options = std::move(options);
-  shards_[0].memory_bytes += NodeFootprint(node);
+  shards_[0].memory_bytes += sizeof(LearningNode) + BitsetHeapBytes(node);
   shards_[0].nodes.push_back(std::move(node));
   return 0;
 }
@@ -58,8 +54,9 @@ NodeId LearningGraph::AddChildWithPathCost(NodeId parent,
                                            double edge_cost,
                                            double path_cost) {
   return AddChildTo(/*shard=*/parent >> kShardShift, parent,
-                    &node_mut(parent), selection, std::move(completed),
-                    std::move(options), edge_cost, path_cost)
+                    &node_mut(parent), std::move(selection),
+                    std::move(completed), std::move(options), edge_cost,
+                    path_cost)
       .id;
 }
 
@@ -80,42 +77,38 @@ LearningGraph::CreatedChild LearningGraph::AddChildTo(
 
   NodeId child_id = static_cast<NodeId>(shard_index) << kShardShift |
                     static_cast<NodeId>(shard.nodes.size());
-  EdgeId edge_id = static_cast<EdgeId>(shard_index) << kShardShift |
-                   static_cast<EdgeId>(shard.edges.size());
-
-  LearningEdge edge;
-  edge.from = parent_id;
-  edge.to = child_id;
-  edge.selection = std::move(selection);
-  edge.cost = edge_cost;
-  shard.memory_bytes += EdgeFootprint(edge);
-  shard.edges.push_back(std::move(edge));
+  EdgeId edge_id = InboundEdge(child_id);
+  EdgeRange& siblings = parent->out_edges;
+  if (siblings.empty()) {
+    siblings.first_ = edge_id;
+  } else {
+    CN_CHECK_EQ(siblings.first_ + siblings.count_, edge_id)
+        << "children of node " << parent_id
+        << " must be added back to back; its range is already closed";
+  }
+  ++siblings.count_;
 
   LearningNode child;
   child.term = parent->term.Next();
+  child.parent = parent_id;
   child.completed = std::move(completed);
   child.options = std::move(options);
-  child.parent_edge = edge_id;
+  child.selection = std::move(selection);
+  child.edge_cost = edge_cost;
   child.path_cost = path_cost;
-  shard.memory_bytes += NodeFootprint(child);
+  shard.memory_bytes += sizeof(LearningNode) + BitsetHeapBytes(child);
   LearningNode& stored = shard.nodes.push_back(std::move(child));
-
-  parent->out_edges.push_back(edge_id);
   return CreatedChild{child_id, &stored};
 }
 
 size_t LearningGraph::AllocatedBytes() const {
   size_t total = shards_.capacity() * sizeof(Shard);
   for (const Shard& shard : shards_) {
-    total += shard.nodes.AllocatedBytes() + shard.edges.AllocatedBytes();
-    for (size_t i = 0; i < shard.nodes.size(); ++i) {
-      const LearningNode& node = shard.nodes[i];
-      total += node.completed.MemoryUsage() + node.options.MemoryUsage() +
-               node.out_edges.capacity() * sizeof(EdgeId);
-    }
-    for (size_t i = 0; i < shard.edges.size(); ++i) {
-      total += shard.edges[i].selection.MemoryUsage();
-    }
+    // memory_bytes charged each node its size plus its spilled bitset
+    // words (which never change once stored); swap the sizes for the
+    // chunks actually held.
+    total += shard.nodes.AllocatedBytes() + shard.memory_bytes -
+             shard.nodes.size() * sizeof(LearningNode);
   }
   return total;
 }
@@ -151,19 +144,12 @@ std::vector<NodeId> LearningGraph::LeafNodes() const {
 void LearningGraph::CheckInvariants() const {
   CN_CHECK_GE(num_shards(), 1);
   CN_CHECK_LE(num_shards(), kMaxShards);
-  const int64_t total_nodes = num_nodes();
-  if (total_nodes == 0) {
-    CN_CHECK_EQ(num_edges(), 0) << "edges exist in an empty graph";
-    return;
-  }
+  if (num_nodes() == 0) return;
   CN_CHECK(!shards_[0].nodes.empty())
       << "graph has nodes but shard 0 holds no root";
   const LearningNode& root_node = node(0);
-  CN_CHECK_EQ(root_node.parent_edge, kInvalidEdgeId)
-      << "the root must not have a parent edge";
-  // Node+edge are materialized pairwise by AddChildTo, so edges biject
-  // with non-root nodes even in a budget-truncated run.
-  CN_CHECK_EQ(num_edges(), total_nodes - 1);
+  CN_CHECK_EQ(root_node.parent, kInvalidNodeId)
+      << "the root must not have a parent";
   const int universe = root_node.completed.universe_size();
 
   auto valid_node = [&](NodeId id) {
@@ -171,12 +157,6 @@ void LearningGraph::CheckInvariants() const {
     const size_t shard = static_cast<size_t>(id >> kShardShift);
     const size_t local = static_cast<size_t>(id & kLocalMask);
     return shard < shards_.size() && local < shards_[shard].nodes.size();
-  };
-  auto valid_edge = [&](EdgeId id) {
-    if (id < 0) return false;
-    const size_t shard = static_cast<size_t>(id >> kShardShift);
-    const size_t local = static_cast<size_t>(id & kLocalMask);
-    return shard < shards_.size() && local < shards_[shard].edges.size();
   };
 
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -193,36 +173,33 @@ void LearningGraph::CheckInvariants() const {
       CN_CHECK_EQ(current.options.universe_size(), universe)
           << "node " << id << " option-set universe mismatch";
       if (id != 0) {
-        CN_CHECK(valid_edge(current.parent_edge))
-            << "node " << id << " parent edge " << current.parent_edge
+        CN_CHECK(valid_node(current.parent))
+            << "node " << id << " parent " << current.parent
             << " does not decode to a live arena slot";
-        const LearningEdge& inbound = edge(current.parent_edge);
-        CN_CHECK_EQ(inbound.to, id)
-            << "parent edge of node " << id << " targets another node";
-        CN_CHECK(valid_node(inbound.from))
-            << "parent edge of node " << id << " has an invalid source";
-        const LearningNode& parent = node(inbound.from);
+        const LearningNode& parent = node(current.parent);
+        CN_CHECK(parent.out_edges.contains(InboundEdge(id)))
+            << "node " << id << " lies outside its parent's child range";
+        CN_CHECK_EQ(current.selection.universe_size(), universe)
+            << "node " << id << " selection universe mismatch";
         // Terms advance exactly one semester along every edge, which also
         // proves the parent links acyclic (they strictly decrease).
         CN_CHECK_EQ(current.term.index(), parent.term.index() + 1)
-            << "edge " << current.parent_edge
+            << "edge into node " << id
             << " does not advance time by one semester (parent-link cycle?)";
-        CN_CHECK(inbound.selection.IsSubsetOf(parent.options))
-            << "selection of edge " << current.parent_edge
+        CN_CHECK(current.selection.IsSubsetOf(parent.options))
+            << "selection into node " << id
             << " elects courses outside the parent's options";
-        CN_CHECK((parent.completed | inbound.selection) == current.completed)
+        CN_CHECK((parent.completed | current.selection) == current.completed)
             << "node " << id
             << " completed set is not parent.completed ∪ selection";
       }
       for (EdgeId out : current.out_edges) {
-        CN_CHECK(valid_edge(out))
+        const NodeId child = EdgeTarget(out);
+        CN_CHECK(valid_node(child))
             << "out edge " << out << " of node " << id
             << " does not decode to a live arena slot";
-        CN_CHECK_EQ(edge(out).from, id)
-            << "out edge " << out << " does not originate at node " << id;
-        CN_CHECK(valid_node(edge(out).to));
-        CN_CHECK_EQ(node(edge(out).to).parent_edge, out)
-            << "edge " << out << " is not the parent edge of its target";
+        CN_CHECK_EQ(node(child).parent, id)
+            << "out edge " << out << " leads to a child of another node";
       }
     }
   }
@@ -230,9 +207,8 @@ void LearningGraph::CheckInvariants() const {
   if (shards_.size() == 1) {
     // Canonical (serial-order) numbering: contiguous ids with every parent
     // numbered before each of its children.
-    for (size_t i = 0; i < shards_[0].edges.size(); ++i) {
-      const LearningEdge& current = shards_[0].edges[i];
-      CN_CHECK_LT(current.from, current.to)
+    for (size_t i = 1; i < shards_[0].nodes.size(); ++i) {
+      CN_CHECK_LT(shards_[0].nodes[i].parent, static_cast<NodeId>(i))
           << "canonical numbering must order parents before children";
     }
   }
@@ -278,18 +254,15 @@ void LearningGraph::Canonicalize() {
     NodeId new_id = remap_stack.back();
     remap_stack.pop_back();
 
-    // Copy the out-edge list: appending children below mutates the arena
-    // the old node lives in only via distinct elements, but keep the loop
-    // simple and allocation-light.
-    const std::vector<EdgeId>& out_edges = node_mut(old_id).out_edges;
-    for (EdgeId old_edge_id : out_edges) {
-      LearningEdge& old_edge = edge_mut(old_edge_id);
-      LearningNode& old_child = node_mut(old_edge.to);
+    for (EdgeId old_edge : node(old_id).out_edges) {
+      const NodeId old_child_id = EdgeTarget(old_edge);
+      LearningNode& old_child = node_mut(old_child_id);
       NodeId new_child = out.AddChildWithPathCost(
-          new_id, std::move(old_edge.selection), std::move(old_child.completed),
-          std::move(old_child.options), old_edge.cost, old_child.path_cost);
+          new_id, std::move(old_child.selection),
+          std::move(old_child.completed), std::move(old_child.options),
+          old_child.edge_cost, old_child.path_cost);
       if (old_child.is_goal) out.MarkGoal(new_child);
-      worklist.push_back(old_edge.to);
+      worklist.push_back(old_child_id);
       remap_stack.push_back(new_child);
     }
   }

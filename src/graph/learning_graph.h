@@ -1,7 +1,10 @@
 #ifndef COURSENAV_GRAPH_LEARNING_GRAPH_H_
 #define COURSENAV_GRAPH_LEARNING_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <ranges>
 #include <vector>
 
 #include "catalog/term.h"
@@ -16,38 +19,90 @@ using EdgeId = int32_t;
 inline constexpr NodeId kInvalidNodeId = -1;
 inline constexpr EdgeId kInvalidEdgeId = -1;
 
+/// A node's out-edges, as the contiguous run of edge ids
+/// `[first, first + size())`. Every generator emits a node's children back
+/// to back into one arena shard, and a child's inbound edge shares its slot
+/// (see `LearningGraph`), so the children of one node never interleave with
+/// other nodes and a `(first, count)` pair replaces a per-node id vector.
+/// Iterates `EdgeId`s by value, ascending (creation order).
+class EdgeRange {
+ public:
+  EdgeRange() = default;
+
+  size_t size() const { return static_cast<size_t>(count_); }
+  bool empty() const { return count_ == 0; }
+  /// True if `id` is one of this node's out-edges.
+  bool contains(EdgeId id) const {
+    return id >= first_ && int64_t{id} - first_ < count_;
+  }
+
+  auto begin() const { return ids().begin(); }
+  auto end() const { return ids().end(); }
+  auto rbegin() const { return std::make_reverse_iterator(end()); }
+  auto rend() const { return std::make_reverse_iterator(begin()); }
+
+  /// Equal when both list the same edge ids (any two empty ranges are).
+  friend bool operator==(const EdgeRange& a, const EdgeRange& b) {
+    return a.count_ == b.count_ && (a.count_ == 0 || a.first_ == b.first_);
+  }
+
+ private:
+  friend class LearningGraph;
+
+  /// Its iterators hold the id itself, so they outlive the view.
+  std::ranges::iota_view<EdgeId, EdgeId> ids() const {
+    return std::views::iota(first_, first_ + count_);
+  }
+
+  EdgeId first_ = kInvalidEdgeId;
+  int32_t count_ = 0;
+};
+
 /// One enrollment status `n_i` (Section 2): the semester `s_i`, the courses
-/// completed by then `X_i`, and the course options `Y_i` available in `s_i`.
-/// Node payloads keep their bitsets inline (array-of-structures): the
-/// chunked arenas' stable-pointer contract is what lets parallel workers
-/// hold `LearningNode*` across shard growth, so the sets of *materialized*
-/// nodes cannot be hoisted into per-field matrices without breaking every
-/// such reference. The data-oriented hot path lives one level up instead —
-/// generators stage each expansion's *candidate* children in a
-/// structure-of-arrays `internal::CandidateBatch` (contiguous completed /
-/// selection word matrices) and run the SIMD pruning kernels there, only
-/// copying survivors into arena nodes.
+/// completed by then `X_i`, and the course options `Y_i` available in `s_i`,
+/// plus the status's inbound edge `e(n_{i-1}, n_i)`.
+///
+/// The graph is a tree, so every node but the root has exactly one inbound
+/// edge; it is stored here, in the child (`parent`, `selection`,
+/// `edge_cost`), and there is no separate edge arena. The out-edges are a
+/// child range, not a list. Node payloads keep their bitsets inline
+/// (array-of-structures): the chunked arenas' stable-pointer contract is
+/// what lets parallel workers hold `LearningNode*` across shard growth, so
+/// the sets of *materialized* nodes cannot be hoisted into per-field
+/// matrices without breaking every such reference. The data-oriented hot
+/// path lives one level up instead — generators stage each expansion's
+/// *candidate* children in a structure-of-arrays `internal::CandidateBatch`
+/// (contiguous completed / selection word matrices) and run the SIMD
+/// pruning kernels there, only copying survivors into arena nodes.
 struct LearningNode {
   Term term;
+  /// Source of the inbound edge; kInvalidNodeId at the root.
+  NodeId parent = kInvalidNodeId;
   DynamicBitset completed;  ///< X_i
   DynamicBitset options;    ///< Y_i
-  EdgeId parent_edge = kInvalidEdgeId;
-  std::vector<EdgeId> out_edges;
-  /// Set when this node satisfies the exploration task's condition (for
-  /// deadline-driven paths: `s_i == d`; for goal-driven: the goal holds).
-  bool is_goal = false;
+  /// The inbound edge's selection W_{i-1,i} ⊆ Y_{i-1}, elected in the
+  /// parent's semester (an empty universe at the root).
+  DynamicBitset selection;
+  /// The inbound edge's cost under the active ranking function.
+  double edge_cost = 0.0;
   /// Accumulated path cost from the root under the active ranking function
   /// (0 when no ranking is in effect).
   double path_cost = 0.0;
+  EdgeRange out_edges;
+  /// Set when this node satisfies the exploration task's condition (for
+  /// deadline-driven paths: `s_i == d`; for goal-driven: the goal holds).
+  bool is_goal = false;
 };
 
 /// One transition `e(n_i, n_{i+1})`: the course selection `W_{i,i+1}`
-/// elected in semester `s_i`.
+/// elected in semester `s_i`. Edges are stored in their child node;
+/// `LearningGraph::edge()` returns this view of one, which refers to the
+/// node's selection and so lives no longer than the graph.
 struct LearningEdge {
-  NodeId from = kInvalidNodeId;
-  NodeId to = kInvalidNodeId;
-  DynamicBitset selection;  ///< W_{i,i+1} ⊆ Y_i
-  double cost = 0.0;        ///< edge cost under the active ranking function
+  NodeId from;
+  NodeId to;
+  const DynamicBitset& selection;  ///< W_{i,i+1} ⊆ Y_i
+  double cost;                     ///< cost under the active ranking function
 };
 
 /// The learning graph `G(E, V)` produced by the generators.
@@ -56,17 +111,24 @@ struct LearningEdge {
 /// a rooted tree whose overlapping root-to-leaf paths are the learning
 /// paths (the paper's Figures 1 and 3).
 ///
-/// Nodes and edges live in chunk-allocated arenas: growth never relocates
-/// an element, so references returned by `node()` / `edge()` stay valid for
-/// the graph's lifetime (generators hold a parent reference across child
-/// insertions instead of snapshot-copying its bitsets).
+/// Nodes live in chunk-allocated arenas: growth never relocates an element,
+/// so references returned by `node()` stay valid for the graph's lifetime
+/// (generators hold a parent reference across child insertions instead of
+/// snapshot-copying its bitsets). Each non-root node also holds its inbound
+/// edge, so edges have no arena of their own: edge ids number the non-root
+/// nodes of a shard in creation order (shard 0's are one behind its node
+/// ids, since the root has no edge; every other shard's equal them), and
+/// `edge()` builds a view from the child node. A node's children are
+/// created back to back in one shard, so its out-edges are one contiguous
+/// id range; adding a child to a node whose range another node has since
+/// closed fails a CN_CHECK.
 ///
 /// A graph has one arena *shard* by default. The parallel frontier engine
 /// (`src/exec/`) configures one shard per worker: each worker appends nodes
-/// and edges only to its own shard, so the hot path needs no locks or
-/// atomics. Ids encode `(shard, local index)`; after a parallel run,
-/// `Canonicalize()` renumbers the merged shards into exactly the id order a
-/// serial run produces, making parallel output byte-identical to serial.
+/// only to its own shard, so the hot path needs no locks or atomics. Ids
+/// encode `(shard, local index)`; after a parallel run, `Canonicalize()`
+/// renumbers the merged shards into exactly the id order a serial run
+/// produces, making parallel output byte-identical to serial.
 ///
 /// Thread-safety contract for multi-shard graphs: concurrent `AddChildTo`
 /// calls must target distinct shards; a node may be read and mutated
@@ -111,9 +173,10 @@ class LearningGraph {
   /// first.
   NodeId AddRoot(Term term, DynamicBitset completed, DynamicBitset options);
 
-  /// Creates a node one semester after `parent` plus the edge electing
-  /// `selection` in the parent's semester. The child's path cost defaults
-  /// to `parent.path_cost + edge_cost` (additive rankings).
+  /// Creates a node one semester after `parent`, reached by the edge
+  /// electing `selection` in the parent's semester. The child's path cost
+  /// defaults to `parent.path_cost + edge_cost` (additive rankings). A
+  /// parent's children must be added back to back (see the class comment).
   NodeId AddChild(NodeId parent, DynamicBitset selection,
                   DynamicBitset completed, DynamicBitset options,
                   double edge_cost = 0.0);
@@ -132,8 +195,8 @@ class LearningGraph {
     LearningNode* node = nullptr;
   };
 
-  /// Parallel-engine variant of AddChild: materializes the child and its
-  /// inbound edge in `shard`, linking it under `*parent` (which the caller
+  /// Parallel-engine variant of AddChild: materializes the child (with its
+  /// inbound edge) in `shard`, linking it under `*parent` (which the caller
   /// must own exclusively; `parent_id` is its id). Only the worker that
   /// owns `shard` may call this for that shard.
   CreatedChild AddChildTo(int shard, NodeId parent_id, LearningNode* parent,
@@ -155,21 +218,21 @@ class LearningGraph {
     }
     return n;
   }
+  /// Every non-root node has exactly one inbound edge.
   int64_t num_edges() const {
-    int64_t n = 0;
-    for (const Shard& shard : shards_) {
-      n += static_cast<int64_t>(shard.edges.size());
-    }
-    return n;
+    const int64_t nodes = num_nodes();
+    return nodes == 0 ? 0 : nodes - 1;
   }
 
   const LearningNode& node(NodeId id) const {
     const Shard& shard = shards_[static_cast<size_t>(id >> kShardShift)];
     return shard.nodes[static_cast<size_t>(id & kLocalMask)];
   }
-  const LearningEdge& edge(EdgeId id) const {
-    const Shard& shard = shards_[static_cast<size_t>(id >> kShardShift)];
-    return shard.edges[static_cast<size_t>(id & kLocalMask)];
+  /// A view of edge `id`, read from the child node that stores it.
+  LearningEdge edge(EdgeId id) const {
+    const NodeId to = EdgeTarget(id);
+    const LearningNode& child = node(to);
+    return LearningEdge{child.parent, to, child.selection, child.edge_cost};
   }
 
   NodeId root() const {
@@ -183,8 +246,8 @@ class LearningGraph {
   /// Ids of all nodes with no outgoing edges (path terminals).
   std::vector<NodeId> LeafNodes() const;
 
-  /// Approximate heap bytes held by nodes, edges, and their bitsets, summed
-  /// over all shards. Only safe once workers have joined.
+  /// Approximate heap bytes held by nodes and their bitsets, summed over
+  /// all shards. Only safe once workers have joined.
   size_t MemoryUsage() const {
     size_t total = 0;
     for (const Shard& shard : shards_) total += shard.memory_bytes;
@@ -193,10 +256,9 @@ class LearningGraph {
 
   /// Heap bytes the graph actually holds: every allocated arena chunk
   /// (chunks hold 1,024 slots, so a one-node graph holds a whole node
-  /// chunk) plus each node's out-edge list and any bitset words spilled to
-  /// the heap. MemoryUsage() instead charges sizeof per stored element, the
-  /// estimate the generators' budgets use. O(nodes + edges); only safe
-  /// once workers have joined.
+  /// chunk) plus any bitset words spilled to the heap. MemoryUsage()
+  /// instead charges sizeof per stored node, the estimate the generators'
+  /// budgets use. O(shards); only safe once workers have joined.
   size_t AllocatedBytes() const;
 
   /// Per-shard memory footprint — safe for the owning worker to poll while
@@ -226,14 +288,16 @@ class LearningGraph {
 
   /// Structural validator (debug builds): aborts via CN_CHECK when the
   /// graph is corrupt. Verifies shard/id encoding consistency (every
-  /// parent/child/out-edge id decodes to a live arena slot), the
-  /// edges↔non-root-nodes bijection, strict term advance along every edge
-  /// (which proves the parent links acyclic), selection/completed-set
-  /// algebra (`child.X = parent.X ∪ W`, `W ⊆ parent.Y`), uniform bitset
-  /// universes, and — for canonicalized single-shard graphs — that the
-  /// contiguous numbering orders every parent before its children.
+  /// parent and child-range id decodes to a live arena slot), that parent
+  /// links and child ranges agree (each non-root node lies in its parent's
+  /// range, each range lists only nodes naming that parent), strict term
+  /// advance along every edge (which proves the parent links acyclic),
+  /// selection/completed-set algebra (`child.X = parent.X ∪ W`,
+  /// `W ⊆ parent.Y`), uniform bitset universes, and — for canonicalized
+  /// single-shard graphs — that the contiguous numbering orders every
+  /// parent before its children.
   ///
-  /// O(nodes + edges); call sites gate on CN_DCHECK_IS_ON() (Canonicalize
+  /// O(nodes); call sites gate on CN_DCHECK_IS_ON() (Canonicalize
   /// self-checks its output under the `dcheck` preset). Always compiled,
   /// so tests can invoke it directly in any build.
   void CheckInvariants() const;
@@ -254,18 +318,22 @@ class LearningGraph {
 
   struct Shard {
     ChunkedVector<LearningNode> nodes;
-    ChunkedVector<LearningEdge> edges;
     size_t memory_bytes = 0;
     bool allocation_failed = false;
   };
 
+  /// The inbound edge of node `id` and the node an edge leads to (see the
+  /// class comment): shard 0's edge ids trail its node ids by the root.
+  static EdgeId InboundEdge(NodeId id) {
+    return (id >> kShardShift) == 0 ? id - 1 : id;
+  }
+  static NodeId EdgeTarget(EdgeId id) {
+    return (id >> kShardShift) == 0 ? id + 1 : id;
+  }
+
   LearningNode& node_mut(NodeId id) {
     Shard& shard = shards_[static_cast<size_t>(id >> kShardShift)];
     return shard.nodes[static_cast<size_t>(id & kLocalMask)];
-  }
-  LearningEdge& edge_mut(EdgeId id) {
-    Shard& shard = shards_[static_cast<size_t>(id >> kShardShift)];
-    return shard.edges[static_cast<size_t>(id & kLocalMask)];
   }
 
   std::vector<Shard> shards_;

@@ -7,21 +7,19 @@
 namespace coursenav {
 
 LearningPath LearningPath::FromGraph(const LearningGraph& graph, NodeId leaf) {
-  // Walk parents to the root, then reverse.
-  std::vector<EdgeId> chain;
-  NodeId cursor = leaf;
-  while (graph.node(cursor).parent_edge != kInvalidEdgeId) {
-    EdgeId edge_id = graph.node(cursor).parent_edge;
-    chain.push_back(edge_id);
-    cursor = graph.edge(edge_id).from;
+  // Walk parents to the root, then reverse. Each non-root node on the way
+  // holds its inbound edge.
+  std::vector<const LearningNode*> chain;
+  const LearningNode* cursor = &graph.node(leaf);
+  while (cursor->parent != kInvalidNodeId) {
+    chain.push_back(cursor);
+    cursor = &graph.node(cursor->parent);
   }
   std::reverse(chain.begin(), chain.end());
 
-  const LearningNode& root = graph.node(cursor);
-  LearningPath path(root.term, root.completed);
-  for (EdgeId edge_id : chain) {
-    const LearningEdge& edge = graph.edge(edge_id);
-    path.AppendStep(graph.node(edge.from).term, edge.selection);
+  LearningPath path(cursor->term, cursor->completed);
+  for (const LearningNode* step : chain) {
+    path.AppendStep(graph.node(step->parent).term, step->selection);
   }
   path.set_cost(graph.node(leaf).path_cost);
   return path;

@@ -125,6 +125,30 @@ void StageAccumulator::Emit(std::string_view name,
   tracer_->EmitSpan(name, now - total_us_, total_us_, std::move(attributes));
 }
 
+void StageAccumulator::EmitMean(
+    std::string_view name, const std::vector<const StageAccumulator*>& workers,
+    std::vector<SpanAttribute> extra_attributes) {
+  if (workers.empty() || workers.front()->tracer_ == nullptr) return;
+  Tracer* tracer = workers.front()->tracer_;
+  int64_t cpu_us = 0;
+  int64_t calls = 0;
+  for (const StageAccumulator* worker : workers) {
+    cpu_us += worker->total_us_;
+    calls += worker->count_;
+  }
+  const int64_t num_workers = static_cast<int64_t>(workers.size());
+  const int64_t mean_us = cpu_us / num_workers;
+  std::vector<SpanAttribute> attributes;
+  attributes.push_back(SpanAttribute::Int("calls", calls));
+  attributes.push_back(SpanAttribute::Int("workers", num_workers));
+  attributes.push_back(SpanAttribute::Int("cpu_us", cpu_us));
+  for (SpanAttribute& attr : extra_attributes) {
+    attributes.push_back(std::move(attr));
+  }
+  int64_t now = tracer->NowMicros();
+  tracer->EmitSpan(name, now - mean_us, mean_us, std::move(attributes));
+}
+
 #endif  // COURSENAV_TRACING
 
 }  // namespace coursenav::obs

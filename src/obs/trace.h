@@ -188,6 +188,15 @@ class StageAccumulator {
   void Emit(std::string_view name,
             std::vector<SpanAttribute> extra_attributes = {}) const;
 
+  /// Emits the accumulators of one parallel run's workers (all bound to the
+  /// same tracer) as one span lasting the workers' *mean* stage time, the
+  /// stage's share of the run's wall clock: their summed time is CPU time
+  /// and would overrun the parent span. Carries `calls` (summed),
+  /// `workers`, and `cpu_us` (the summed time) attributes.
+  static void EmitMean(std::string_view name,
+                       const std::vector<const StageAccumulator*>& workers,
+                       std::vector<SpanAttribute> extra_attributes = {});
+
   Tracer* tracer() const { return tracer_; }
 
  private:
@@ -238,6 +247,9 @@ class StageAccumulator {
   int64_t total_us() const { return 0; }
   int64_t count() const { return 0; }
   void Emit(std::string_view, std::vector<SpanAttribute> = {}) const {}
+  static void EmitMean(std::string_view,
+                       const std::vector<const StageAccumulator*>&,
+                       std::vector<SpanAttribute> = {}) {}
   Tracer* tracer() const { return nullptr; }
 };
 

@@ -73,8 +73,12 @@ Result<DynamicBitset> CourseSetFromJson(const JsonValue& json,
                                         const Catalog& catalog,
                                         std::string_view what) {
   if (!json.is_array()) {
-    return Status::InvalidArgument("'" + std::string(what) +
-                                   "' must be an array of course codes");
+    // Appended piecewise: `"'" + std::string(...)` trips GCC 12's
+    // -Wrestrict false positive in optimized builds.
+    std::string message = "'";
+    message += what;
+    message += "' must be an array of course codes";
+    return Status::InvalidArgument(message);
   }
   std::vector<std::string> codes;
   codes.reserve(json.array().size());
@@ -394,8 +398,10 @@ namespace {
 Status CheckObjectKeys(const JsonValue& value, std::string_view where,
                        std::initializer_list<std::string_view> known) {
   if (!value.is_object()) {
-    return Status::InvalidArgument("'" + std::string(where) +
-                                   "' must be an object");
+    std::string message = "'";  // piecewise, as in CourseSetFromJson
+    message += where;
+    message += "' must be an object";
+    return Status::InvalidArgument(message);
   }
   for (const auto& [key, unused] : value.object()) {
     bool found = false;

@@ -1,16 +1,40 @@
 #include "util/bitset.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "util/simd/simd.h"
 
 namespace coursenav {
 
+DynamicBitset::Word* DynamicBitset::NewWords(size_t count) {
+  return new Word[count];  // NOLINT(coursenav-raw-new): see FreeHeap
+}
+
 DynamicBitset::DynamicBitset(int universe_size)
     : num_bits_(universe_size),
-      words_((static_cast<size_t>(universe_size) + kBitsPerWord - 1) /
-             kBitsPerWord) {
+      num_words_(static_cast<uint32_t>(
+          (static_cast<size_t>(universe_size) + kBitsPerWord - 1) /
+          kBitsPerWord)) {
   assert(universe_size >= 0);
+  if (is_inline()) {
+    inline_[0] = inline_[1] = 0;
+  } else {
+    heap_ = NewWords(num_words_);
+    std::memset(heap_, 0, num_words_ * sizeof(Word));
+  }
+}
+
+DynamicBitset& DynamicBitset::Reshape(const DynamicBitset& other) {
+  // Drop our words, then take a buffer of other's shape (empty meanwhile,
+  // so a throwing allocation leaves a valid set).
+  FreeHeap();
+  ResetToEmpty();
+  if (!other.is_inline()) heap_ = NewWords(other.num_words_);
+  num_words_ = other.num_words_;
+  num_bits_ = other.num_bits_;
+  std::memcpy(data(), other.data(), num_words_ * sizeof(Word));
+  return *this;
 }
 
 DynamicBitset DynamicBitset::FromIndices(int universe_size,
@@ -24,46 +48,47 @@ DynamicBitset DynamicBitset::FromIndices(int universe_size,
 }
 
 int DynamicBitset::count() const {
-  return simd::Popcount(words_.data(), words_.size());
+  return simd::Popcount(data(), num_words_);
 }
 
 bool DynamicBitset::empty() const {
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if (words_[i] != 0) return false;
+  const Word* words = data();
+  for (size_t i = 0; i < num_words_; ++i) {
+    if (words[i] != 0) return false;
   }
   return true;
 }
 
 void DynamicBitset::clear() {
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] = 0;
+  std::memset(data(), 0, num_words_ * sizeof(Word));
 }
 
 DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
   assert(num_bits_ == other.num_bits_);
-  simd::UnionInplace(words_.data(), other.words_.data(), words_.size());
+  simd::UnionInplace(data(), other.data(), num_words_);
   return *this;
 }
 
 DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
   assert(num_bits_ == other.num_bits_);
-  simd::IntersectInplace(words_.data(), other.words_.data(), words_.size());
+  simd::IntersectInplace(data(), other.data(), num_words_);
   return *this;
 }
 
 DynamicBitset& DynamicBitset::Subtract(const DynamicBitset& other) {
   assert(num_bits_ == other.num_bits_);
-  simd::SubtractInplace(words_.data(), other.words_.data(), words_.size());
+  simd::SubtractInplace(data(), other.data(), num_words_);
   return *this;
 }
 
 bool DynamicBitset::IsSubsetOf(const DynamicBitset& other) const {
   assert(num_bits_ == other.num_bits_);
-  return simd::SubsetOf(words_.data(), other.words_.data(), words_.size());
+  return simd::SubsetOf(data(), other.data(), num_words_);
 }
 
 bool DynamicBitset::Intersects(const DynamicBitset& other) const {
   assert(num_bits_ == other.num_bits_);
-  return simd::Intersects(words_.data(), other.words_.data(), words_.size());
+  return simd::Intersects(data(), other.data(), num_words_);
 }
 
 std::vector<int> DynamicBitset::ToIndices() const {
@@ -74,7 +99,7 @@ std::vector<int> DynamicBitset::ToIndices() const {
 }
 
 uint64_t DynamicBitset::Hash() const {
-  return HashWords(words_.data(), words_.size());
+  return HashWords(data(), num_words_);
 }
 
 std::string DynamicBitset::ToString() const {

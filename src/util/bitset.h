@@ -11,116 +11,72 @@
 
 namespace coursenav {
 
-namespace internal {
-
-/// Storage for a bitset's 64-bit words with a small-buffer optimization:
-/// up to `kInlineWords` words (128 bits) live inline, larger universes
-/// spill to the heap. Course catalogs are small (the evaluation's has 38
-/// courses = 1 word), and course sets are copied on every node expansion,
-/// so keeping them allocation-free dominates generator throughput (see
-/// bench/micro_benchmarks).
-class WordStorage {
- public:
-  using Word = uint64_t;
-  static constexpr size_t kInlineWords = 2;
-
-  WordStorage() : size_(0) { inline_[0] = inline_[1] = 0; }
-
-  explicit WordStorage(size_t size) : size_(size) {
-    if (is_inline()) {
-      inline_[0] = inline_[1] = 0;
-    } else {
-      heap_.assign(size, 0);
-    }
-  }
-
-  WordStorage(const WordStorage& other) : size_(other.size_) {
-    if (is_inline()) {
-      inline_[0] = other.inline_[0];
-      inline_[1] = other.inline_[1];
-    } else {
-      heap_ = other.heap_;
-    }
-  }
-
-  WordStorage& operator=(const WordStorage& other) {
-    if (this == &other) return *this;
-    if (size_ == other.size_) {
-      // Same shape: copy words in place. For heap storage this reuses the
-      // existing allocation instead of the resize + element-copy dance a
-      // vector assignment performs; equal-universe assignment is the common
-      // case on the expansion hot path (scratch sets, cache lookups).
-      std::memcpy(data(), other.data(), size_ * sizeof(Word));
-      return *this;
-    }
-    size_ = other.size_;
-    if (is_inline()) {
-      inline_[0] = other.inline_[0];
-      inline_[1] = other.inline_[1];
-      heap_.clear();
-    } else {
-      heap_ = other.heap_;
-    }
-    return *this;
-  }
-
-  WordStorage(WordStorage&& other) noexcept
-      : size_(other.size_), heap_(std::move(other.heap_)) {
-    inline_[0] = other.inline_[0];
-    inline_[1] = other.inline_[1];
-  }
-
-  WordStorage& operator=(WordStorage&& other) noexcept {
-    size_ = other.size_;
-    inline_[0] = other.inline_[0];
-    inline_[1] = other.inline_[1];
-    heap_ = std::move(other.heap_);
-    return *this;
-  }
-
-  size_t size() const { return size_; }
-
-  Word* data() { return is_inline() ? inline_ : heap_.data(); }
-  const Word* data() const { return is_inline() ? inline_ : heap_.data(); }
-
-  Word& operator[](size_t i) { return data()[i]; }
-  const Word& operator[](size_t i) const { return data()[i]; }
-
-  size_t heap_bytes() const { return heap_.capacity() * sizeof(Word); }
-
- private:
-  bool is_inline() const { return size_ <= kInlineWords; }
-
-  size_t size_;
-  Word inline_[kInlineWords];
-  std::vector<Word> heap_;
-};
-
-}  // namespace internal
-
 /// A dynamically sized bitset tuned for small dense id universes.
 ///
 /// `DynamicBitset` backs `CourseSet`: the hot data structure of every
 /// generator. A catalog interns courses into dense ids `[0, n)`, so a
 /// student's completed set `X_i`, option set `Y_i` and per-edge selection
 /// `W` are all bitsets of `n` bits. All set algebra used on the exploration
-/// hot path (union, subset test, difference, popcount) is O(n/64), and
-/// universes up to 128 elements are stored inline (no allocation).
+/// hot path (union, subset test, difference, popcount) is O(n/64).
+///
+/// A set is 24 bytes: an 8-byte header (universe size, word count), then
+/// either the words themselves, inline, for universes up to 128 elements,
+/// or one owned pointer to them on the heap. Course catalogs are small (the
+/// evaluation's has 38 courses = 1 word) and every learning-graph node holds
+/// three sets, so keeping them small and allocation-free dominates both the
+/// graph's bytes per node and generator throughput (see
+/// bench/micro_benchmarks).
 ///
 /// The capacity (`universe_size`) is fixed at construction; all binary
-/// operations require operands of equal universe size.
+/// operations require operands of equal universe size. A moved-from set is
+/// empty over an empty universe, like a default-constructed one.
 class DynamicBitset {
  public:
   /// An empty set over an empty universe.
-  DynamicBitset() : num_bits_(0) {}
+  DynamicBitset() { ResetToEmpty(); }
 
   /// An empty set over a universe of `universe_size` elements.
   explicit DynamicBitset(int universe_size);
 
-  DynamicBitset(const DynamicBitset&) = default;
-  DynamicBitset& operator=(const DynamicBitset&) = default;
-  DynamicBitset(DynamicBitset&&) noexcept = default;
-  DynamicBitset& operator=(DynamicBitset&&) noexcept = default;
+  // Copies live in the header so that copying inline storage costs no
+  // call: nodes, scratch sets and cache keys are copied on every
+  // expansion. Heap words are allocated out of line.
+  DynamicBitset(const DynamicBitset& other)
+      : num_bits_(other.num_bits_), num_words_(other.num_words_) {
+    if (is_inline()) {
+      inline_[0] = other.inline_[0];
+      inline_[1] = other.inline_[1];
+    } else {
+      heap_ = NewWords(num_words_);
+      std::memcpy(heap_, other.heap_, num_words_ * sizeof(Word));
+    }
+  }
+  DynamicBitset& operator=(const DynamicBitset& other) {
+    if (this == &other) return *this;
+    if (num_words_ != other.num_words_) return Reshape(other);
+    // Same shape: copy the words in place, reusing any heap buffer.
+    num_bits_ = other.num_bits_;
+    if (is_inline()) {
+      inline_[0] = other.inline_[0];
+      inline_[1] = other.inline_[1];
+    } else {
+      std::memcpy(heap_, other.heap_, num_words_ * sizeof(Word));
+    }
+    return *this;
+  }
+  DynamicBitset(DynamicBitset&& other) noexcept
+      : num_bits_(other.num_bits_), num_words_(other.num_words_) {
+    StealStorage(other);
+  }
+  DynamicBitset& operator=(DynamicBitset&& other) noexcept {
+    if (this == &other) return *this;
+    FreeHeap();
+    num_bits_ = other.num_bits_;
+    num_words_ = other.num_words_;
+    StealStorage(other);
+    return *this;
+  }
+  ~DynamicBitset() { FreeHeap(); }
 
   /// Builds a set from explicit member ids.
   static DynamicBitset FromIndices(int universe_size,
@@ -136,11 +92,11 @@ class DynamicBitset {
 
   /// Membership test; `pos` must be in `[0, universe_size())`.
   bool test(int pos) const {
-    return (words_[WordIndex(pos)] >> BitIndex(pos)) & 1u;
+    return (data()[WordIndex(pos)] >> BitIndex(pos)) & 1u;
   }
 
-  void set(int pos) { words_[WordIndex(pos)] |= Word(1) << BitIndex(pos); }
-  void reset(int pos) { words_[WordIndex(pos)] &= ~(Word(1) << BitIndex(pos)); }
+  void set(int pos) { data()[WordIndex(pos)] |= Word(1) << BitIndex(pos); }
+  void reset(int pos) { data()[WordIndex(pos)] &= ~(Word(1) << BitIndex(pos)); }
   void clear();
 
   /// In-place set algebra. Operands must share a universe size.
@@ -166,7 +122,7 @@ class DynamicBitset {
 
   friend bool operator==(const DynamicBitset& a, const DynamicBitset& b) {
     if (a.num_bits_ != b.num_bits_) return false;
-    return simd::Equal(a.words_.data(), b.words_.data(), a.words_.size());
+    return simd::Equal(a.data(), b.data(), a.num_words_);
   }
 
   /// Ids of all members, ascending.
@@ -175,8 +131,9 @@ class DynamicBitset {
   /// Calls `fn(int)` for each member id, ascending.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      Word word = words_[w];
+    const Word* words = data();
+    for (size_t w = 0; w < num_words_; ++w) {
+      Word word = words[w];
       while (word != 0) {
         int bit = simd::CountTrailingZeros(word);
         fn(static_cast<int>(w * kBitsPerWord) + bit);
@@ -188,14 +145,14 @@ class DynamicBitset {
   /// Raw word access for batch kernels (src/util/simd). The universe's bits
   /// are packed little-endian into `word_count()` 64-bit words; bits at or
   /// above `universe_size()` are always zero.
-  size_t word_count() const { return words_.size(); }
-  const uint64_t* word_data() const { return words_.data(); }
-  uint64_t* mutable_word_data() { return words_.data(); }
+  size_t word_count() const { return num_words_; }
+  const uint64_t* word_data() const { return data(); }
+  uint64_t* mutable_word_data() { return data(); }
 
   /// Overwrites this set's words from a packed row of `word_count()` words.
   /// The caller guarantees bits at or above `universe_size()` are zero.
   void AssignWords(const uint64_t* src) {
-    std::memcpy(words_.data(), src, words_.size() * sizeof(Word));
+    std::memcpy(data(), src, num_words_ * sizeof(Word));
   }
 
   /// Builds a set over `universe_size` elements from a packed word row.
@@ -213,19 +170,52 @@ class DynamicBitset {
 
   /// Approximate heap footprint in bytes (for memory budgeting). Inline
   /// universes (<= 128 elements) report 0.
-  size_t MemoryUsage() const { return words_.heap_bytes(); }
+  size_t MemoryUsage() const {
+    return is_inline() ? 0 : num_words_ * sizeof(Word);
+  }
 
  private:
-  using Word = internal::WordStorage::Word;
+  using Word = uint64_t;
   static constexpr int kBitsPerWord = 64;
+  static constexpr uint32_t kInlineWords = 2;
 
   static size_t WordIndex(int pos) {
     return static_cast<size_t>(pos) / kBitsPerWord;
   }
   static int BitIndex(int pos) { return pos % kBitsPerWord; }
 
-  int num_bits_;
-  internal::WordStorage words_;
+  bool is_inline() const { return num_words_ <= kInlineWords; }
+  Word* data() { return is_inline() ? inline_ : heap_; }
+  const Word* data() const { return is_inline() ? inline_ : heap_; }
+
+  // Heap words are owned by hand: a union member cannot be a unique_ptr,
+  // and the union is what keeps a set at 24 bytes. NewWords and FreeHeap
+  // are the only allocation and release sites.
+  static Word* NewWords(size_t count);
+  /// Copy-assignment from a set of another word count.
+  DynamicBitset& Reshape(const DynamicBitset& other);
+  void FreeHeap() {
+    if (!is_inline()) delete[] heap_;  // NOLINT(coursenav-raw-new)
+  }
+  /// Makes this an empty set over an empty universe, without freeing.
+  void ResetToEmpty() {
+    num_bits_ = 0;
+    num_words_ = 0;
+    inline_[0] = inline_[1] = 0;
+  }
+  /// Takes `other`'s words (inline copy or heap pointer, whichever is live)
+  /// and leaves it an empty set over an empty universe.
+  void StealStorage(DynamicBitset& other) {
+    std::memcpy(static_cast<void*>(inline_), other.inline_, sizeof(inline_));
+    other.ResetToEmpty();
+  }
+
+  int32_t num_bits_;
+  uint32_t num_words_;
+  union {
+    Word inline_[kInlineWords];  // num_words_ <= kInlineWords
+    Word* heap_;                 // otherwise: owned, num_words_ long
+  };
 };
 
 /// 64-bit mixing hash of `count` packed words: an FNV-style fold with a

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/random.h"
@@ -144,6 +146,80 @@ TEST(DynamicBitsetTest, CopyAssignAcrossStorageKinds) {
   DynamicBitset& self = heap_a;
   heap_a = self;
   EXPECT_EQ(heap_a.ToIndices(), (std::vector<int>{5, 150}));
+}
+
+TEST(DynamicBitsetTest, IsTwentyFourBytes) {
+  // An 8-byte header (universe, word count), then two inline words or one
+  // heap pointer: learning-graph nodes hold three of these.
+  static_assert(sizeof(DynamicBitset) == 24);
+  EXPECT_EQ(sizeof(DynamicBitset), 24u);
+}
+
+TEST(DynamicBitsetTest, MovedFromSetsAreEmptyAndReusable) {
+  for (int universe : {38, 128, 129, 200}) {
+    SCOPED_TRACE("universe " + std::to_string(universe));
+    const std::vector<int> members = {5, universe - 1};
+    DynamicBitset source = DynamicBitset::FromIndices(universe, members);
+    DynamicBitset moved = std::move(source);
+    EXPECT_EQ(moved.ToIndices(), members);
+    EXPECT_EQ(source.universe_size(), 0);
+    EXPECT_EQ(source.word_count(), 0u);
+    EXPECT_TRUE(source.empty());
+    EXPECT_EQ(source.MemoryUsage(), 0u);
+
+    // Regression: a moved-from heap set used to keep its shape but not its
+    // words, so a same-shape copy-assign into it wrote through null.
+    const DynamicBitset same_shape = DynamicBitset::FromIndices(universe, {1});
+    source = same_shape;
+    EXPECT_EQ(source, same_shape);
+    source.set(2);
+    EXPECT_FALSE(same_shape.test(2));
+
+    // Move-assigning into and out of moved-from sets.
+    DynamicBitset other = std::move(moved);
+    moved = std::move(other);
+    EXPECT_EQ(moved.ToIndices(), members);
+    EXPECT_EQ(other.universe_size(), 0);
+    other = std::move(source);
+    EXPECT_EQ(other.ToIndices(), (std::vector<int>{1, 2}));
+  }
+}
+
+TEST(DynamicBitsetTest, CopyMoveAndSelfAssignAcrossInlineAndHeap) {
+  const DynamicBitset inline_set = DynamicBitset::FromIndices(100, {0, 99});
+  const DynamicBitset heap_set = DynamicBitset::FromIndices(300, {0, 150, 299});
+
+  DynamicBitset copied = inline_set;
+  copied = heap_set;  // inline -> heap
+  EXPECT_EQ(copied, heap_set);
+  EXPECT_GT(copied.MemoryUsage(), 0u);
+  copied = inline_set;  // heap -> inline
+  EXPECT_EQ(copied, inline_set);
+  EXPECT_EQ(copied.MemoryUsage(), 0u);
+
+  DynamicBitset moved = heap_set;
+  moved = DynamicBitset(inline_set);  // heap -> inline, frees the words
+  EXPECT_EQ(moved, inline_set);
+  EXPECT_EQ(moved.MemoryUsage(), 0u);
+  moved = DynamicBitset(heap_set);  // inline -> heap, takes the pointer
+  EXPECT_EQ(moved, heap_set);
+  DynamicBitset constructed(std::move(moved));
+  EXPECT_EQ(constructed, heap_set);
+
+  // Self copy- and move-assignment keep the value, inline and on the heap.
+  for (const DynamicBitset& value : {inline_set, heap_set}) {
+    DynamicBitset set = value;
+    DynamicBitset& alias = set;
+    set = alias;
+    EXPECT_EQ(set, value);
+    set = std::move(alias);
+    EXPECT_EQ(set, value);
+  }
+
+  // A copy never shares its source's heap words.
+  DynamicBitset copy = heap_set;
+  copy.set(1);
+  EXPECT_FALSE(heap_set.test(1));
 }
 
 TEST(DynamicBitsetTest, WordAccessAndAssignWords) {

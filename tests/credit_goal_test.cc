@@ -1,4 +1,5 @@
 #include "requirements/credit_goal.h"
+#include "util/string_util.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,7 @@ class CreditGoalTest : public ::testing::Test {
   void SetUp() override {
     for (int i = 0; i < 5; ++i) {
       Course c;
-      c.code = "C" + std::to_string(i);
+      c.code = StrFormat("C%d", i);
       ASSERT_TRUE(catalog_.AddCourse(std::move(c)).ok());
     }
     ASSERT_TRUE(catalog_.Finalize().ok());

@@ -140,7 +140,7 @@ TEST(DeadlineGeneratorTest, InputValidation) {
   // Unfinalized catalog.
   Catalog raw;
   Course c;
-  c.code = "X";
+  c.code = std::string("X");  // not a literal: GCC 12 -O3 -Wrestrict misfires
   ASSERT_TRUE(raw.AddCourse(std::move(c)).ok());
   OfferingSchedule empty_schedule(raw.size());
   EnrollmentStatus raw_start{fix.fall11, raw.NewCourseSet()};

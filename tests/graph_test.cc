@@ -29,6 +29,13 @@ class LearningGraphTest : public ::testing::Test {
   Catalog catalog_;
 };
 
+TEST(LearningNodeLayoutTest, NodeFitsItsByteBudget) {
+  // Three 24-byte bitsets (X, Y and the inbound W), two costs, the term,
+  // the parent id and the child range: 105 bytes of fields, 112 padded.
+  static_assert(sizeof(LearningNode) <= 112);
+  EXPECT_LE(sizeof(LearningNode), 112u);
+}
+
 TEST_F(LearningGraphTest, RootAndChildren) {
   LearningGraph graph;
   Term f12(Season::kFall, 2012);
@@ -44,11 +51,14 @@ TEST_F(LearningGraphTest, RootAndChildren) {
   EXPECT_EQ(node.term, f12.Next());
   EXPECT_EQ(node.completed.ToIndices(), std::vector<int>{0});
   EXPECT_DOUBLE_EQ(node.path_cost, 1.5);
-  const LearningEdge& edge = graph.edge(node.parent_edge);
+  EXPECT_EQ(node.parent, root);
+  EXPECT_EQ(node.selection.ToIndices(), std::vector<int>{0});
+  ASSERT_EQ(graph.node(root).out_edges.size(), 1u);
+  const LearningEdge edge = graph.edge(*graph.node(root).out_edges.begin());
   EXPECT_EQ(edge.from, root);
   EXPECT_EQ(edge.to, child);
-  EXPECT_EQ(edge.selection.ToIndices(), std::vector<int>{0});
-  EXPECT_EQ(graph.node(root).out_edges.size(), 1u);
+  EXPECT_EQ(&edge.selection, &node.selection);
+  EXPECT_DOUBLE_EQ(edge.cost, 1.5);
 }
 
 TEST_F(LearningGraphTest, PathCostAccumulates) {

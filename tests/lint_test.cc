@@ -25,9 +25,6 @@ class LearningGraphTestPeer {
   static LearningNode& MutableNode(LearningGraph& graph, NodeId id) {
     return graph.node_mut(id);
   }
-  static LearningEdge& MutableEdge(LearningGraph& graph, EdgeId id) {
-    return graph.edge_mut(id);
-  }
 };
 
 namespace {
@@ -836,14 +833,15 @@ class GraphInvariantsTest : public CheckTest {
     return bits;
   }
 
-  /// root --{0}--> a --{1}--> b, plus root --{1}--> c.
+  /// root --{0}--> a --{1}--> b, plus root --{1}--> c. Ids: root 0, a 1,
+  /// c 2, b 3 (a node's children are added back to back).
   LearningGraph MakeValidGraph() {
     LearningGraph graph;
     NodeId root =
         graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0, 1}));
     NodeId a = graph.AddChild(root, Bits({0}), Bits({0}), Bits({1, 2}));
-    graph.AddChild(a, Bits({1}), Bits({0, 1}), Bits({2}));
     graph.AddChild(root, Bits({1}), Bits({1}), Bits({0}));
+    graph.AddChild(a, Bits({1}), Bits({0, 1}), Bits({2}));
     return graph;
   }
 };
@@ -865,18 +863,34 @@ TEST_F(GraphInvariantsTest, RejectsBrokenTermAdvance) {
 
 TEST_F(GraphInvariantsTest, RejectsEdgeEndpointMismatch) {
   LearningGraph graph = MakeValidGraph();
-  LearningEdge& edge = LearningGraphTestPeer::MutableEdge(
-      graph, graph.node(1).parent_edge);
-  edge.to = 2;  // edge now claims to produce a different node
+  // The root's out-edges now claim to lead to node 1's child, and its own
+  // children fall outside its range.
+  LearningGraphTestPeer::MutableNode(graph, 0).out_edges =
+      graph.node(1).out_edges;
+  FailureMessage([&] { graph.CheckInvariants(); });
+}
+
+TEST_F(GraphInvariantsTest, RejectsChildClaimingAnotherParent) {
+  LearningGraph graph = MakeValidGraph();
+  // Node 2 names node 1 as its parent, but node 1's range lists node 3 only.
+  LearningGraphTestPeer::MutableNode(graph, 2).parent = 1;
   FailureMessage([&] { graph.CheckInvariants(); });
 }
 
 TEST_F(GraphInvariantsTest, RejectsSelectionOutsideParentOptions) {
   LearningGraph graph = MakeValidGraph();
-  LearningEdge& edge = LearningGraphTestPeer::MutableEdge(
-      graph, graph.node(1).parent_edge);
-  edge.selection = Bits({3});  // 3 was never in the root's options
+  LearningNode& child = LearningGraphTestPeer::MutableNode(graph, 1);
+  child.selection = Bits({3});  // 3 was never in the root's options
   FailureMessage([&] { graph.CheckInvariants(); });
+}
+
+TEST_F(GraphInvariantsTest, AddingToAClosedChildRangeFails) {
+  LearningGraph graph = MakeValidGraph();
+  // Node 3 (node 1's child) was created after the root's children, so the
+  // root's range is closed.
+  std::string message = FailureMessage(
+      [&] { graph.AddChild(0, Bits({0, 1}), Bits({0, 1}), Bits({})); });
+  EXPECT_NE(message.find("back to back"), std::string::npos) << message;
 }
 
 TEST_F(GraphInvariantsTest, RejectsCompletedSetAlgebraViolation) {
@@ -889,7 +903,7 @@ TEST_F(GraphInvariantsTest, RejectsCompletedSetAlgebraViolation) {
 TEST_F(GraphInvariantsTest, RejectsOrphanedParentLink) {
   LearningGraph graph = MakeValidGraph();
   LearningNode& child = LearningGraphTestPeer::MutableNode(graph, 1);
-  child.parent_edge = kInvalidEdgeId;  // non-root node with no parent
+  child.parent = kInvalidNodeId;  // non-root node with no parent
   FailureMessage([&] { graph.CheckInvariants(); });
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "data/brandeis_cs.h"
 #include "exec/work_queue.h"
 #include "exec/worker_pool.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace coursenav {
@@ -146,6 +148,66 @@ TEST(ParallelBudgetTest, CancellationStopsAllWorkersCleanly) {
   EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
   EXPECT_EQ(testing_util::StatsErrors(result->graph, result->stats), "");
 }
+
+#if COURSENAV_TRACING
+
+int64_t IntAttribute(const obs::SpanRecord& span, std::string_view key) {
+  for (const obs::SpanAttribute& attribute : span.attributes) {
+    if (attribute.key == key) return attribute.int_value;
+  }
+  return -1;
+}
+
+// Workers prune concurrently, so their summed pruning time is CPU time and
+// can exceed the run's wall-clock expand/loop. The run reports one span per
+// strategy at the workers' mean time instead, which nests.
+TEST(ParallelTraceTest, PruningSpansAreOnePerStrategyAndNest) {
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  Term end = data::EvaluationEndTerm();
+  EnrollmentStatus start{data::StartTermForSpan(4),
+                         dataset.catalog.NewCourseSet()};
+  ExplorationOptions options;
+  options.num_threads = 4;
+
+  obs::Tracer tracer;
+  ExplorationStats stats;
+  {
+    obs::ScopedTracer install(&tracer);
+    auto result = GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
+                                          start, end, *dataset.cs_major,
+                                          options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(result->termination.ok()) << result->termination.ToString();
+    stats = result->stats;
+  }
+  ASSERT_GT(stats.TotalPruned(), 0);
+
+  const std::vector<obs::SpanRecord> spans = tracer.Spans();
+  std::map<std::string, int> count_by_name;
+  std::map<int64_t, int64_t> children_us;  // parent span id -> summed
+  for (const obs::SpanRecord& span : spans) {
+    ++count_by_name[span.name];
+    children_us[span.parent_id] += span.duration_us;
+    if (span.name == obs::kSpanPruneTime) {
+      EXPECT_EQ(IntAttribute(span, "workers"), 4);
+      EXPECT_EQ(IntAttribute(span, "pruned"), stats.pruned_time);
+      EXPECT_GE(IntAttribute(span, "cpu_us"), span.duration_us);
+    }
+    if (span.name == obs::kSpanPruneAvailability) {
+      EXPECT_EQ(IntAttribute(span, "workers"), 4);
+      EXPECT_EQ(IntAttribute(span, "pruned"), stats.pruned_availability);
+    }
+  }
+  EXPECT_EQ(count_by_name[std::string(obs::kSpanPruneTime)], 1);
+  EXPECT_EQ(count_by_name[std::string(obs::kSpanPruneAvailability)], 1);
+  EXPECT_EQ(count_by_name[std::string(obs::kSpanExpandLoop)], 1);
+  for (const obs::SpanRecord& span : spans) {
+    EXPECT_LE(children_us[span.span_id], span.duration_us)
+        << span.name << " has more time in its children than its own";
+  }
+}
+
+#endif  // COURSENAV_TRACING
 
 TEST(WorkStealingQueuesTest, LocalPopIsLifo) {
   exec::WorkStealingQueues<int> queues(2);

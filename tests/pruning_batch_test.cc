@@ -20,6 +20,7 @@
 #include "requirements/expr_goal.h"
 #include "requirements/goal.h"
 #include "util/bitset.h"
+#include "util/string_util.h"
 
 namespace coursenav {
 namespace {
@@ -37,7 +38,7 @@ struct SyntheticFixture {
   SyntheticFixture() {
     for (int i = 0; i < kNumCourses; ++i) {
       Course c;
-      c.code = "C" + std::to_string(i);
+      c.code = StrFormat("C%d", i);
       if (!catalog.AddCourse(std::move(c)).ok()) std::abort();
     }
     if (!catalog.Finalize().ok()) std::abort();
@@ -135,7 +136,7 @@ void RunDifferential(const SyntheticFixture& fix,
 
 std::shared_ptr<const Goal> MonotoneGoal(const SyntheticFixture& fix) {
   std::vector<std::string> codes;
-  for (int i = 0; i < 14; ++i) codes.push_back("C" + std::to_string(i * 13));
+  for (int i = 0; i < 14; ++i) codes.push_back(StrFormat("C%d", i * 13));
   auto goal = ExprGoal::CompleteAll(codes, fix.catalog);
   if (!goal.ok()) std::abort();
   return *goal;

@@ -5,6 +5,7 @@
 #include "expr/parser.h"
 #include "requirements/expr_goal.h"
 #include "requirements/goal.h"
+#include "util/string_util.h"
 
 namespace coursenav {
 namespace {
@@ -15,7 +16,7 @@ class RequirementsTest : public ::testing::Test {
   void SetUp() override {
     for (int i = 0; i < 10; ++i) {
       Course c;
-      c.code = "C" + std::to_string(i);
+      c.code = StrFormat("C%d", i);
       ASSERT_TRUE(catalog_.AddCourse(std::move(c)).ok());
     }
     ASSERT_TRUE(catalog_.Finalize().ok());
@@ -29,7 +30,7 @@ class RequirementsTest : public ::testing::Test {
 
   std::vector<std::string> Codes(std::initializer_list<int> ids) {
     std::vector<std::string> out;
-    for (int id : ids) out.push_back("C" + std::to_string(id));
+    for (int id : ids) out.push_back(StrFormat("C%d", id));
     return out;
   }
 

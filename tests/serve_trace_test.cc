@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "cache/request_cache.h"
 #include "data/brandeis_cs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,6 +26,7 @@
 #include "serve/socket_server.h"
 #include "util/json.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace coursenav::serve {
 namespace {
@@ -143,7 +145,15 @@ TEST(TraceIdTest, RejectedEnvelopesStillCarryTheirTraceId) {
   server.Shutdown();
 }
 
-TEST(TraceOptInTest, NoOptInMeansNoSpanTree) {
+/// The servers below share the process-wide request cache; each test starts
+/// it empty, so a request an earlier test (in this binary) answered is a
+/// miss again and its span tree still shows planning, not just the lookup.
+class TraceOptInTest : public ::testing::Test {
+ protected:
+  void SetUp() override { cache::RequestCache::Global().Clear(); }
+};
+
+TEST_F(TraceOptInTest, NoOptInMeansNoSpanTree) {
   ExplorationServer server(&Dataset().catalog, &Dataset().schedule);
   server.Start();
   JsonValue envelope =
@@ -154,7 +164,7 @@ TEST(TraceOptInTest, NoOptInMeansNoSpanTree) {
   server.Shutdown();
 }
 
-TEST(TraceOptInTest, OptInReturnsSpanTreeCoveringAllStages) {
+TEST_F(TraceOptInTest, OptInReturnsSpanTreeCoveringAllStages) {
   ExplorationServer server(&Dataset().catalog, &Dataset().schedule);
   server.Start();
   ResponseEnvelope response =
@@ -193,7 +203,7 @@ TEST(TraceOptInTest, OptInReturnsSpanTreeCoveringAllStages) {
   server.Shutdown();
 }
 
-TEST(TraceOptInTest, CachedRequestsTraceTheCacheLookup) {
+TEST_F(TraceOptInTest, CachedRequestsTraceTheCacheLookup) {
   ServerConfig config;
   config.enable_cache = true;
   ExplorationServer server(&Dataset().catalog, &Dataset().schedule, config);
@@ -213,7 +223,7 @@ TEST(TraceOptInTest, CachedRequestsTraceTheCacheLookup) {
   server.Shutdown();
 }
 
-TEST(TraceOptInTest, SpanTreeRoundTripsOverTheSocket) {
+TEST_F(TraceOptInTest, SpanTreeRoundTripsOverTheSocket) {
   ExplorationServer core(&Dataset().catalog, &Dataset().schedule);
   core.Start();
   SocketServer transport(&core);
@@ -253,17 +263,26 @@ TEST(AdminPlaneTest, HealthzFollowsTheServerLifecycle) {
 }
 
 TEST(AdminPlaneTest, MetricsServesPerTenantLatencySeries) {
+  // The metric registry is process-wide: count from what earlier runs of
+  // this test (--gtest_repeat) left in the series.
+  const int64_t before =
+      obs::GlobalMetrics()
+          .GetHistogram(obs::LabeledMetricName(
+              obs::kMetricServeTenantServiceMicros, "tenant",
+              "metrics-tenant"))
+          ->Count();
   ExplorationServer core(&Dataset().catalog, &Dataset().schedule);
   core.Start();
   for (int i = 0; i < 3; ++i) {
-    core.HandleRequest(TracedPayload("metrics-tenant", "m" + std::to_string(i)));
+    core.HandleRequest(TracedPayload("metrics-tenant", StrFormat("m%d", i)));
   }
   AdminServer admin(&core);
   AdminServer::HttpResponse response = admin.HandleGet("/metrics");
   EXPECT_EQ(response.status_code, 200);
   EXPECT_NE(response.body.find(
                 "coursenav_serve_tenant_service_us_count{tenant=\"metrics-"
-                "tenant\"} 3"),
+                "tenant\"} " +
+                std::to_string(before + 3)),
             std::string::npos)
       << response.body;
   EXPECT_NE(response.body.find("coursenav_trace_dropped_spans"),

@@ -72,9 +72,10 @@ struct Figure3Fixture {
 /// budget-truncated — must satisfy, and returns a description of the first
 /// violation (empty string = structurally valid):
 ///   - a rooted tree: `num_edges == num_nodes - 1`, only the root has no
-///     parent edge, parents are created before their children;
-///   - every edge agrees with its endpoints (`edge.to`'s parent_edge is the
-///     edge, `edge.from` lists it among out_edges);
+///     parent, parents are created before their children;
+///   - every edge agrees with its endpoints (the edge into a node leads from
+///     its parent to it, and lies in the parent's child range; every edge of
+///     a child range leads back out of that node);
 ///   - child state is derived from the parent: `term == parent.term.Next()`,
 ///     `completed == parent.completed | selection`, and the selection was
 ///     actually available (`selection ⊆ parent.options`).
@@ -86,42 +87,56 @@ inline std::string StructureErrors(const LearningGraph& graph) {
     return "not a tree: " + std::to_string(graph.num_edges()) + " edges for " +
            std::to_string(graph.num_nodes()) + " nodes";
   }
+  // How often each node is listed in some child range: once for every
+  // non-root node, never for the root.
+  std::vector<int> listed(static_cast<size_t>(graph.num_nodes()), 0);
+  for (NodeId id = 0; id < graph.num_nodes(); ++id) {
+    const std::string where = "node " + std::to_string(id) + ": ";
+    for (EdgeId out : graph.node(id).out_edges) {
+      if (out < 0 || out >= graph.num_edges()) {
+        return where + "out edge " + std::to_string(out) + " out of range";
+      }
+      const LearningEdge edge = graph.edge(out);
+      if (edge.from != id) {
+        return where + "out edge " + std::to_string(out) +
+               " does not lead from this node";
+      }
+      const LearningNode& child = graph.node(edge.to);
+      if (&edge.selection != &child.selection ||
+          edge.cost != child.edge_cost) {
+        return where + "out edge " + std::to_string(out) +
+               " is not its child's inbound edge";
+      }
+      ++listed[static_cast<size_t>(edge.to)];
+    }
+  }
   for (NodeId id = 0; id < graph.num_nodes(); ++id) {
     const LearningNode& node = graph.node(id);
+    const std::string where = "node " + std::to_string(id) + ": ";
     if (id == graph.root()) {
-      if (node.parent_edge != kInvalidEdgeId) return "root has a parent edge";
+      if (node.parent != kInvalidNodeId) return "root has a parent";
+      if (listed[0] != 0) return "root listed as a child";
       continue;
     }
-    const std::string where = "node " + std::to_string(id) + ": ";
-    if (node.parent_edge < 0 || node.parent_edge >= graph.num_edges()) {
-      return where + "parent edge out of range";
-    }
-    const LearningEdge& in = graph.edge(node.parent_edge);
-    if (in.to != id) return where + "parent edge does not point back";
-    if (in.from < 0 || in.from >= id) {
+    if (node.parent < 0 || node.parent >= id) {
       return where + "parent not created before child";
     }
-    const LearningNode& parent = graph.node(in.from);
-    bool listed = false;
-    for (EdgeId out : parent.out_edges) listed |= (out == node.parent_edge);
-    if (!listed) return where + "parent does not list the inbound edge";
+    if (listed[static_cast<size_t>(id)] != 1) {
+      return where + "listed in " +
+             std::to_string(listed[static_cast<size_t>(id)]) +
+             " child ranges, not its parent's alone";
+    }
+    const LearningNode& parent = graph.node(node.parent);
     if (node.term != parent.term.Next()) {
       return where + "term is not the semester after its parent's";
     }
-    if (!in.selection.IsSubsetOf(parent.options)) {
+    if (!node.selection.IsSubsetOf(parent.options)) {
       return where + "selection not available in the parent's semester";
     }
     DynamicBitset expected = parent.completed;
-    expected |= in.selection;
+    expected |= node.selection;
     if (node.completed != expected) {
       return where + "completed set != parent.completed | selection";
-    }
-  }
-  for (EdgeId id = 0; id < graph.num_edges(); ++id) {
-    const LearningEdge& edge = graph.edge(id);
-    if (edge.from < 0 || edge.from >= graph.num_nodes() || edge.to < 0 ||
-        edge.to >= graph.num_nodes()) {
-      return "edge " + std::to_string(id) + ": endpoint out of range";
     }
   }
   return "";
@@ -173,16 +188,20 @@ inline std::string GraphDifference(const LearningGraph& a,
     const LearningNode& nb = b.node(id);
     const std::string where = "node " + std::to_string(id) + ": ";
     if (na.term != nb.term) return where + "terms differ";
+    if (na.parent != nb.parent) return where + "parents differ";
     if (na.completed != nb.completed) return where + "completed sets differ";
     if (na.options != nb.options) return where + "option sets differ";
-    if (na.parent_edge != nb.parent_edge) return where + "parent edges differ";
-    if (na.out_edges != nb.out_edges) return where + "out edges differ";
-    if (na.is_goal != nb.is_goal) return where + "goal flags differ";
+    if (na.selection != nb.selection) {
+      return where + "inbound selections differ";
+    }
+    if (na.edge_cost != nb.edge_cost) return where + "edge costs differ";
     if (na.path_cost != nb.path_cost) return where + "path costs differ";
+    if (na.out_edges != nb.out_edges) return where + "child ranges differ";
+    if (na.is_goal != nb.is_goal) return where + "goal flags differ";
   }
   for (EdgeId id = 0; id < a.num_edges(); ++id) {
-    const LearningEdge& ea = a.edge(id);
-    const LearningEdge& eb = b.edge(id);
+    const LearningEdge ea = a.edge(id);
+    const LearningEdge eb = b.edge(id);
     const std::string where = "edge " + std::to_string(id) + ": ";
     if (ea.from != eb.from || ea.to != eb.to) {
       return where + "endpoints differ";
