@@ -110,8 +110,8 @@ class BenchReport {
 
 /// Adds a materializing row's graph-size columns: `bytes_per_node` (the
 /// graph's `MemoryUsage()` estimate per node, the figure its memory budget
-/// enforces) and `arena_bytes` (`AllocatedBytes()`, the arena chunks and
-/// spilled bitset words it really held).
+/// enforces) and `arena_bytes` (the arena chunks and spilled bitset words
+/// it really held, as `AllocatedBytes()` reports them).
 inline void AddGraphBytes(int64_t nodes, size_t memory_bytes,
                           size_t allocated_bytes, JsonValue::Object* row) {
   (*row)["bytes_per_node"] =

@@ -46,31 +46,24 @@ void PruningOracle::AccountSkippedTimePruned(int64_t count) {
 }
 
 void PruningOracle::EmitStageSpans() const {
-  time_stage_.Emit(
-      obs::kSpanPruneTime,
-      {obs::SpanAttribute::Int("pruned", metrics_->pruned_time),
-       obs::SpanAttribute::Int("enabled", config_.enable_time_pruning)});
-  availability_stage_.Emit(
-      obs::kSpanPruneAvailability,
-      {obs::SpanAttribute::Int("pruned", metrics_->pruned_availability),
-       obs::SpanAttribute::Int("enabled",
-                               config_.enable_availability_pruning)});
+  const PruningOracle* self = this;
+  EmitStageSpans({&self, 1});
 }
 
-void PruningOracle::EmitParallelStageSpans(
-    const std::vector<const PruningOracle*>& workers) {
-  if (workers.empty()) return;
+void PruningOracle::EmitStageSpans(
+    std::span<const PruningOracle* const> oracles) {
+  if (oracles.empty() || !oracles.front()->time_stage_.enabled()) return;
   std::vector<const obs::StageAccumulator*> time_stages;
   std::vector<const obs::StageAccumulator*> availability_stages;
   int64_t pruned_time = 0;
   int64_t pruned_availability = 0;
-  for (const PruningOracle* oracle : workers) {
+  for (const PruningOracle* oracle : oracles) {
     time_stages.push_back(&oracle->time_stage_);
     availability_stages.push_back(&oracle->availability_stage_);
     pruned_time += oracle->metrics_->pruned_time;
     pruned_availability += oracle->metrics_->pruned_availability;
   }
-  const GoalDrivenConfig& config = workers.front()->config_;
+  const GoalDrivenConfig& config = oracles.front()->config_;
   obs::StageAccumulator::EmitMean(
       obs::kSpanPruneTime, time_stages,
       {obs::SpanAttribute::Int("pruned", pruned_time),

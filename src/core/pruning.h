@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -252,18 +253,18 @@ class PruningOracle {
   /// individually (the Equation 1 min-selection shortcut).
   void AccountSkippedTimePruned(int64_t count);
 
-  /// Emits one aggregate span per pruning strategy ("prune/time",
-  /// "prune/availability") carrying call counts, pruned counts, and the
-  /// accumulated strategy time. No-op without an installed tracer.
+  /// Emits this serial run's stage spans: EmitStageSpans over this one
+  /// oracle.
   void EmitStageSpans() const;
 
-  /// EmitStageSpans for a parallel run, over its workers' oracles: one span
-  /// per strategy at the workers' mean strategy time (so it nests inside
-  /// the run's wall-clock `expand/loop`), with `workers` and `cpu_us`
-  /// attributes and the run-total `pruned` count. No-op for no oracles or
-  /// without an installed tracer.
-  static void EmitParallelStageSpans(
-      const std::vector<const PruningOracle*>& workers);
+  /// Emits one aggregate span per pruning strategy ("prune/time",
+  /// "prune/availability") for a run whose workers used `oracles` (one
+  /// oracle for a serial run). Each lasts the workers' mean strategy time,
+  /// so a parallel run's spans nest inside its wall-clock `expand/loop`,
+  /// and carries the summed call count, `workers`, `cpu_us` (the summed
+  /// strategy time) and the run-total `pruned` count. No-op for no oracles
+  /// or without an installed tracer.
+  static void EmitStageSpans(std::span<const PruningOracle* const> oracles);
 
   /// Structural validator (debug builds): aborts via CN_CHECK when an L1
   /// availability-cache entry is inconsistent with the run's catalog —

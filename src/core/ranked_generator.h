@@ -1,7 +1,6 @@
 #ifndef COURSENAV_CORE_RANKED_GENERATOR_H_
 #define COURSENAV_CORE_RANKED_GENERATOR_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -26,10 +25,6 @@ struct RankedResult {
   /// OK when the search ran to completion (k paths found or the whole goal
   /// space exhausted); a budget status when it stopped early.
   Status termination;
-  /// Footprint of the search graph, which the run builds and releases:
-  /// its `LearningGraph::MemoryUsage()` and `AllocatedBytes()`.
-  size_t graph_memory_bytes = 0;
-  size_t graph_allocated_bytes = 0;
 };
 
 /// Section 4.3: ranked (top-k) goal-driven learning paths.

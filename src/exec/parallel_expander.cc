@@ -396,7 +396,7 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
     engine.metrics().MergeFrom(ctx->metrics);
     if (ctx->oracle.has_value()) oracles.push_back(&*ctx->oracle);
   }
-  PruningOracle::EmitParallelStageSpans(oracles);
+  PruningOracle::EmitStageSpans(oracles);
 
   Status termination = sentinel.status();
   graph->Canonicalize();

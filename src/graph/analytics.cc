@@ -32,12 +32,13 @@ GraphAnalytics AnalyzeLearningGraph(const LearningGraph& graph,
   }
   analytics.goal_path_count = goal_leaves[0];
 
-  // Edge pass: every goal path through edge (u -> v) elects W(u,v) in
-  // u's semester; a path elects a course at most once, so summing per-edge
-  // subtree counts gives exact per-course path counts.
+  // Edge pass (an edge's id is its child's): every goal path through edge
+  // (u -> v) elects W(u,v) in u's semester; a path elects a course at most
+  // once, so summing per-edge subtree counts gives exact per-course path
+  // counts.
   std::map<int, uint64_t> load_weighted;  // term -> sum of |W| over paths
   std::map<int, uint64_t> paths_at_term;  // term -> paths making a choice
-  for (EdgeId edge_id = 0; edge_id < graph.num_edges(); ++edge_id) {
+  for (EdgeId edge_id = 1; edge_id < graph.num_nodes(); ++edge_id) {
     const LearningEdge edge = graph.edge(edge_id);
     uint64_t through = goal_leaves[static_cast<size_t>(edge.to)];
     if (through == 0) continue;

@@ -36,7 +36,7 @@ std::string LearningGraphToDot(const LearningGraph& graph,
                      catalog.CourseSetToString(node.completed).c_str(),
                      node.is_goal ? ", peripheries=2" : "");
   }
-  for (EdgeId id = 0; id < graph.num_edges(); ++id) {
+  for (EdgeId id = 1; id < graph.num_nodes(); ++id) {  // edge id = child id
     const LearningEdge edge = graph.edge(id);
     out += StrFormat("  n%d -> n%d [label=\"%s\"];\n", edge.from, edge.to,
                      catalog.CourseSetToString(edge.selection).c_str());
@@ -59,7 +59,7 @@ JsonValue LearningGraphToJson(const LearningGraph& graph,
     nodes.emplace_back(std::move(obj));
   }
   JsonValue::Array edges;
-  for (EdgeId id = 0; id < graph.num_edges(); ++id) {
+  for (EdgeId id = 1; id < graph.num_nodes(); ++id) {  // edge id = child id
     const LearningEdge edge = graph.edge(id);
     JsonValue::Object obj;
     obj["from"] = JsonValue(static_cast<int64_t>(edge.from));

@@ -77,12 +77,11 @@ LearningGraph::CreatedChild LearningGraph::AddChildTo(
 
   NodeId child_id = static_cast<NodeId>(shard_index) << kShardShift |
                     static_cast<NodeId>(shard.nodes.size());
-  EdgeId edge_id = InboundEdge(child_id);
   EdgeRange& siblings = parent->out_edges;
   if (siblings.empty()) {
-    siblings.first_ = edge_id;
+    siblings.first_ = child_id;
   } else {
-    CN_CHECK_EQ(siblings.first_ + siblings.count_, edge_id)
+    CN_CHECK_EQ(siblings.first_ + siblings.count_, child_id)
         << "children of node " << parent_id
         << " must be added back to back; its range is already closed";
   }
@@ -177,7 +176,7 @@ void LearningGraph::CheckInvariants() const {
             << "node " << id << " parent " << current.parent
             << " does not decode to a live arena slot";
         const LearningNode& parent = node(current.parent);
-        CN_CHECK(parent.out_edges.contains(InboundEdge(id)))
+        CN_CHECK(parent.out_edges.contains(id))
             << "node " << id << " lies outside its parent's child range";
         CN_CHECK_EQ(current.selection.universe_size(), universe)
             << "node " << id << " selection universe mismatch";
@@ -193,13 +192,13 @@ void LearningGraph::CheckInvariants() const {
             << "node " << id
             << " completed set is not parent.completed ∪ selection";
       }
-      for (EdgeId out : current.out_edges) {
-        const NodeId child = EdgeTarget(out);
+      for (NodeId child : current.out_edges) {
         CN_CHECK(valid_node(child))
-            << "out edge " << out << " of node " << id
+            << "child " << child << " of node " << id
             << " does not decode to a live arena slot";
         CN_CHECK_EQ(node(child).parent, id)
-            << "out edge " << out << " leads to a child of another node";
+            << "child range of node " << id << " lists node " << child
+            << ", a child of another node";
       }
     }
   }
@@ -254,8 +253,7 @@ void LearningGraph::Canonicalize() {
     NodeId new_id = remap_stack.back();
     remap_stack.pop_back();
 
-    for (EdgeId old_edge : node(old_id).out_edges) {
-      const NodeId old_child_id = EdgeTarget(old_edge);
+    for (NodeId old_child_id : node(old_id).out_edges) {
       LearningNode& old_child = node_mut(old_child_id);
       NodeId new_child = out.AddChildWithPathCost(
           new_id, std::move(old_child.selection),

@@ -20,11 +20,12 @@ inline constexpr NodeId kInvalidNodeId = -1;
 inline constexpr EdgeId kInvalidEdgeId = -1;
 
 /// A node's out-edges, as the contiguous run of edge ids
-/// `[first, first + size())`. Every generator emits a node's children back
-/// to back into one arena shard, and a child's inbound edge shares its slot
-/// (see `LearningGraph`), so the children of one node never interleave with
-/// other nodes and a `(first, count)` pair replaces a per-node id vector.
-/// Iterates `EdgeId`s by value, ascending (creation order).
+/// `[first, first + size())`. An edge's id is its child's node id (the
+/// child stores the edge; see `LearningGraph`), and every generator emits a
+/// node's children back to back into one arena shard, so the children of
+/// one node never interleave with other nodes and a `(first, count)` pair
+/// replaces a per-node id vector. Iterates `EdgeId`s by value, ascending
+/// (creation order).
 class EdgeRange {
  public:
   EdgeRange() = default;
@@ -115,13 +116,12 @@ struct LearningEdge {
 /// so references returned by `node()` stay valid for the graph's lifetime
 /// (generators hold a parent reference across child insertions instead of
 /// snapshot-copying its bitsets). Each non-root node also holds its inbound
-/// edge, so edges have no arena of their own: edge ids number the non-root
-/// nodes of a shard in creation order (shard 0's are one behind its node
-/// ids, since the root has no edge; every other shard's equal them), and
-/// `edge()` builds a view from the child node. A node's children are
-/// created back to back in one shard, so its out-edges are one contiguous
-/// id range; adding a child to a node whose range another node has since
-/// closed fails a CN_CHECK.
+/// edge, so edges have no arena of their own: an edge's id is its child's
+/// node id, and `edge()` builds a view from that node. A canonical graph's
+/// edges are therefore ids `1..num_nodes() - 1`, in creation order. A
+/// node's children are created back to back in one shard, so its out-edges
+/// are one contiguous id range; adding a child to a node whose range
+/// another node has since closed fails a CN_CHECK.
 ///
 /// A graph has one arena *shard* by default. The parallel frontier engine
 /// (`src/exec/`) configures one shard per worker: each worker appends nodes
@@ -228,11 +228,10 @@ class LearningGraph {
     const Shard& shard = shards_[static_cast<size_t>(id >> kShardShift)];
     return shard.nodes[static_cast<size_t>(id & kLocalMask)];
   }
-  /// A view of edge `id`, read from the child node that stores it.
+  /// A view of edge `id`, read from the child node `id` that stores it.
   LearningEdge edge(EdgeId id) const {
-    const NodeId to = EdgeTarget(id);
-    const LearningNode& child = node(to);
-    return LearningEdge{child.parent, to, child.selection, child.edge_cost};
+    const LearningNode& child = node(id);
+    return LearningEdge{child.parent, id, child.selection, child.edge_cost};
   }
 
   NodeId root() const {
@@ -321,15 +320,6 @@ class LearningGraph {
     size_t memory_bytes = 0;
     bool allocation_failed = false;
   };
-
-  /// The inbound edge of node `id` and the node an edge leads to (see the
-  /// class comment): shard 0's edge ids trail its node ids by the root.
-  static EdgeId InboundEdge(NodeId id) {
-    return (id >> kShardShift) == 0 ? id - 1 : id;
-  }
-  static NodeId EdgeTarget(EdgeId id) {
-    return (id >> kShardShift) == 0 ? id + 1 : id;
-  }
 
   LearningNode& node_mut(NodeId id) {
     Shard& shard = shards_[static_cast<size_t>(id >> kShardShift)];

@@ -113,20 +113,8 @@ void SetThreadTracer(Tracer* tracer) { tls_tracer = tracer; }
 
 #if COURSENAV_TRACING
 
-void StageAccumulator::Emit(std::string_view name,
-                            std::vector<SpanAttribute> extra_attributes) const {
-  if (tracer_ == nullptr) return;
-  std::vector<SpanAttribute> attributes;
-  attributes.push_back(SpanAttribute::Int("calls", count_));
-  for (SpanAttribute& attr : extra_attributes) {
-    attributes.push_back(std::move(attr));
-  }
-  int64_t now = tracer_->NowMicros();
-  tracer_->EmitSpan(name, now - total_us_, total_us_, std::move(attributes));
-}
-
 void StageAccumulator::EmitMean(
-    std::string_view name, const std::vector<const StageAccumulator*>& workers,
+    std::string_view name, std::span<const StageAccumulator* const> workers,
     std::vector<SpanAttribute> extra_attributes) {
   if (workers.empty() || workers.front()->tracer_ == nullptr) return;
   Tracer* tracer = workers.front()->tracer_;

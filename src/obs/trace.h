@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/mutex.h"
@@ -167,8 +169,9 @@ class ScopedSpan {
 
 /// Accumulates many short intervals into one aggregate span — the pattern
 /// for per-child hot paths (pruning checks, ranking evaluation) where a
-/// span per call would swamp the trace. Bind once per run, sample with
-/// StageSample, then Emit one span carrying total duration and call count.
+/// span per call would swamp the trace. Bind once per run (once per worker
+/// in a parallel run), sample with StageSample, then emit one span per run
+/// carrying the stage's duration and call count.
 class StageAccumulator {
  public:
   StageAccumulator() : tracer_(CurrentTracer()) {}
@@ -183,18 +186,22 @@ class StageAccumulator {
   int64_t total_us() const { return total_us_; }
   int64_t count() const { return count_; }
 
-  /// Emits the aggregate as one span (even when no samples were taken, so
-  /// traces always show the stage) parented under the current span.
+  /// Emits a serial run's aggregate: EmitMean over this one accumulator.
   void Emit(std::string_view name,
-            std::vector<SpanAttribute> extra_attributes = {}) const;
+            std::vector<SpanAttribute> extra_attributes = {}) const {
+    const StageAccumulator* self = this;
+    EmitMean(name, {&self, 1}, std::move(extra_attributes));
+  }
 
-  /// Emits the accumulators of one parallel run's workers (all bound to the
-  /// same tracer) as one span lasting the workers' *mean* stage time, the
-  /// stage's share of the run's wall clock: their summed time is CPU time
-  /// and would overrun the parent span. Carries `calls` (summed),
-  /// `workers`, and `cpu_us` (the summed time) attributes.
+  /// Emits the accumulators of one run's workers (all bound to the same
+  /// tracer; a serial run has one) as one span, parented under the current
+  /// span and emitted even when no samples were taken, so traces always
+  /// show the stage. It lasts the workers' *mean* stage time, the stage's
+  /// share of the run's wall clock: their summed time is CPU time and
+  /// would overrun the parent span. Carries `calls` (summed), `workers`,
+  /// and `cpu_us` (the summed time) attributes.
   static void EmitMean(std::string_view name,
-                       const std::vector<const StageAccumulator*>& workers,
+                       std::span<const StageAccumulator* const> workers,
                        std::vector<SpanAttribute> extra_attributes = {});
 
   Tracer* tracer() const { return tracer_; }
@@ -248,7 +255,7 @@ class StageAccumulator {
   int64_t count() const { return 0; }
   void Emit(std::string_view, std::vector<SpanAttribute> = {}) const {}
   static void EmitMean(std::string_view,
-                       const std::vector<const StageAccumulator*>&,
+                       std::span<const StageAccumulator* const>,
                        std::vector<SpanAttribute> = {}) {}
   Tracer* tracer() const { return nullptr; }
 };

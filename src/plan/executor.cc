@@ -572,8 +572,6 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
     graph.CheckInvariants();
     oracle.CheckInvariants();
   }
-  result.graph_memory_bytes = graph.MemoryUsage();
-  result.graph_allocated_bytes = graph.AllocatedBytes();
   result.stats = engine.StatsView();
   run_span.AddInt("nodes_created", result.stats.nodes_created);
   run_span.AddInt("paths_returned",

@@ -59,10 +59,6 @@ bool DynamicBitset::empty() const {
   return true;
 }
 
-void DynamicBitset::clear() {
-  std::memset(data(), 0, num_words_ * sizeof(Word));
-}
-
 DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
   assert(num_bits_ == other.num_bits_);
   simd::UnionInplace(data(), other.data(), num_words_);

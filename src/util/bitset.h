@@ -97,7 +97,15 @@ class DynamicBitset {
 
   void set(int pos) { data()[WordIndex(pos)] |= Word(1) << BitIndex(pos); }
   void reset(int pos) { data()[WordIndex(pos)] &= ~(Word(1) << BitIndex(pos)); }
-  void clear();
+  /// Empties the set. Inline sets clear without a call: selection
+  /// enumeration clears its scratch set once per selection.
+  void clear() {
+    if (is_inline()) {
+      inline_[0] = inline_[1] = 0;
+    } else {
+      std::memset(heap_, 0, num_words_ * sizeof(Word));
+    }
+  }
 
   /// In-place set algebra. Operands must share a universe size.
   DynamicBitset& operator|=(const DynamicBitset& other);

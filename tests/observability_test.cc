@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/goal_generator.h"
@@ -287,16 +288,24 @@ TEST(TracerTest, GoalRunEmitsStageSpansAndReconcilesWithStats) {
 
   // The stage spans' `pruned` attributes must reconcile exactly with the
   // legacy stats (they read the same counters).
-  auto pruned_attribute = [](const obs::SpanRecord& span) -> int64_t {
+  auto int_attribute = [](const obs::SpanRecord& span,
+                          std::string_view key) -> int64_t {
     for (const obs::SpanAttribute& attribute : span.attributes) {
-      if (attribute.key == "pruned") return attribute.int_value;
+      if (attribute.key == key) return attribute.int_value;
     }
     return -1;
   };
-  EXPECT_EQ(pruned_attribute(*prune_time), stats.pruned_time);
-  EXPECT_EQ(pruned_attribute(*prune_availability),
+  EXPECT_EQ(int_attribute(*prune_time, "pruned"), stats.pruned_time);
+  EXPECT_EQ(int_attribute(*prune_availability, "pruned"),
             stats.pruned_availability);
   EXPECT_GT(stats.pruned_availability, 0);
+  // A serial run is the one-worker case of the parallel emission: its
+  // mean time is its whole strategy time.
+  for (const obs::SpanRecord* span : {prune_time, prune_availability}) {
+    EXPECT_EQ(int_attribute(*span, "workers"), 1) << span->name;
+    EXPECT_EQ(int_attribute(*span, "cpu_us"), span->duration_us)
+        << span->name;
+  }
 }
 
 TEST(TraceExportTest, JsonLinesAreIndividuallyParseable) {

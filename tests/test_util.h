@@ -93,7 +93,7 @@ inline std::string StructureErrors(const LearningGraph& graph) {
   for (NodeId id = 0; id < graph.num_nodes(); ++id) {
     const std::string where = "node " + std::to_string(id) + ": ";
     for (EdgeId out : graph.node(id).out_edges) {
-      if (out < 0 || out >= graph.num_edges()) {
+      if (out <= 0 || out >= graph.num_nodes()) {
         return where + "out edge " + std::to_string(out) + " out of range";
       }
       const LearningEdge edge = graph.edge(out);
@@ -199,7 +199,7 @@ inline std::string GraphDifference(const LearningGraph& a,
     if (na.out_edges != nb.out_edges) return where + "child ranges differ";
     if (na.is_goal != nb.is_goal) return where + "goal flags differ";
   }
-  for (EdgeId id = 0; id < a.num_edges(); ++id) {
+  for (EdgeId id = 1; id < a.num_nodes(); ++id) {  // edge id = child id
     const LearningEdge ea = a.edge(id);
     const LearningEdge eb = b.edge(id);
     const std::string where = "edge " + std::to_string(id) + ": ";
