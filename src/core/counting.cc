@@ -1,15 +1,14 @@
 #include "core/counting.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/combinations.h"
 #include "core/engine.h"
+#include "core/expand.h"
 #include "obs/trace.h"
 #include "util/bitset.h"
-#include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/simd/simd.h"
 #include "util/string_util.h"
@@ -116,25 +115,12 @@ class CountingRun {
  public:
   CountingRun(const Catalog& catalog, const OfferingSchedule& schedule,
               const ExplorationOptions& options, Term start_term,
-              Term end_term, const Goal* goal,
-              const GoalDrivenConfig* config)
-      : catalog_(catalog),
-        schedule_(schedule),
-        options_(options),
-        end_term_(end_term),
-        goal_(goal),
-        engine_(catalog, schedule, options, start_term, end_term),
-        budget_(options.limits.max_seconds, options.cancel),
-        oracle_(goal == nullptr
-                    ? nullptr
-                    : std::make_unique<internal::PruningOracle>(
-                          *goal, engine_, options, *config)),
+              Term end_term, const internal::ExpandSpec& spec)
+      : engine_(catalog, schedule, options, start_term, end_term),
+        expander_(engine_, spec),
         completed_(catalog.size()),
-        empty_selection_(catalog.size()),
         current_(completed_.word_count()),
-        next_(completed_.word_count()) {
-    batch_.Configure(catalog.size());
-  }
+        next_(completed_.word_count()) {}
 
   CountingRun(const CountingRun&) = delete;
   CountingRun& operator=(const CountingRun&) = delete;
@@ -145,7 +131,7 @@ class CountingRun {
     // Distinct statuses stand in for nodes in the counting rung's metrics
     // (they are what bounds counting work, as max_nodes does graphs).
     engine_.metrics().nodes_created += statuses_;
-    if (oracle_ != nullptr) oracle_->EmitStageSpans();
+    expander_.EmitStageSpans();
     run_span.AddInt("distinct_statuses", statuses_);
     if (!counted.ok()) return counted;
     CountingResult result;
@@ -154,14 +140,29 @@ class CountingRun {
     // goal_paths <= total_paths, so one saturated total covers both.
     result.saturated = total_paths_ == UINT64_MAX;
     result.distinct_statuses = statuses_;
-    result.runtime_seconds = budget_.ElapsedSeconds();
+    result.runtime_seconds = engine_.ElapsedSeconds();
     run_span.AddInt("total_paths_low64",
                     static_cast<int64_t>(result.total_paths));
     return result;
   }
 
  private:
-  using Verdict = internal::PruningOracle::Verdict;
+  /// The layer sink: a kept child adds the expanded status's path count to
+  /// its status in the next semester's table. Budgets are checked once per
+  /// status (in `Expand`), and the status cap exactly when a status is
+  /// added, so the per-selection checks are no-ops.
+  struct LayerSink {
+    CountingRun& run;
+    uint64_t paths;
+    Status stop;
+
+    bool NearNodeBudget(size_t) const { return false; }
+    bool CheckBudget() const { return true; }
+    bool Add(const internal::CandidateBatch& batch, size_t row) {
+      stop = run.AddChild(batch.completed_row(row), paths);
+      return stop.ok();
+    }
+  };
 
   Status CountLayers(const EnrollmentStatus& start) {
     COURSENAV_RETURN_IF_ERROR(AddChild(start.completed.word_data(), 1));
@@ -178,62 +179,25 @@ class CountingRun {
     return Status::OK();
   }
 
-  /// Expands one status of the `term` layer reached by `paths` paths.
+  /// Expands one status of the `term` layer reached by `paths` paths; its
+  /// option set is derived only once it proves not to be a leaf.
   Status Expand(Term term, const uint64_t* completed_words, uint64_t paths) {
     COURSENAV_RETURN_IF_ERROR(CheckBudget());
     completed_.AssignWords(completed_words);
-    if (goal_ != nullptr && goal_->IsSatisfied(completed_)) {
-      Retire(paths, /*reaches_goal=*/true);
-      return Status::OK();
+    LayerSink sink{*this, paths, Status::OK()};
+    switch (expander_.Expand(term, completed_, /*options=*/nullptr, sink)) {
+      case internal::Expansion::kGoal:
+        Retire(paths, /*reaches_goal=*/true);
+        break;
+      case internal::Expansion::kMissed:
+      case internal::Expansion::kDeadEnd:
+        Retire(paths, /*reaches_goal=*/false);
+        break;
+      case internal::Expansion::kExpanded:
+        break;
+      case internal::Expansion::kStopped:
+        return sink.stop;
     }
-    if (term == end_term_) {
-      Retire(paths, /*reaches_goal=*/goal_ == nullptr);
-      return Status::OK();
-    }
-
-    const DynamicBitset node_options =
-        ComputeOptions(catalog_, schedule_, completed_, term, options_);
-    const Term child_term = term.Next();
-    const int left_parent =
-        oracle_ != nullptr ? oracle_->LeftAt(completed_) : -1;
-
-    bool expanded = false;
-    Status child_error = Status::OK();
-    // Classifies the staged children and adds the kept ones to the next
-    // layer with this status's multiplicity.
-    auto flush_batch = [&]() {
-      if (oracle_ != nullptr) {
-        oracle_->ClassifyBatch(batch_, child_term, left_parent, &verdicts_);
-      }
-      for (size_t i = 0; i < batch_.size() && child_error.ok(); ++i) {
-        if (oracle_ != nullptr && verdicts_[i] != Verdict::kKeep) continue;
-        expanded = true;
-        child_error = AddChild(batch_.completed_row(i), paths);
-      }
-      batch_.Clear();
-      return child_error.ok();
-    };
-
-    const int min_selection =
-        oracle_ != nullptr ? oracle_->MinSelectionSize(left_parent, term) : 1;
-    if (!node_options.empty() && min_selection <= node_options.count()) {
-      ForEachSelection(node_options, min_selection,
-                       options_.max_courses_per_term,
-                       [&](const DynamicBitset& selection) {
-                         batch_.Push(completed_, selection);
-                         return !batch_.full() || flush_batch();
-                       });
-    }
-    if (child_error.ok()) {
-      const bool skip_edge =
-          options_.allow_voluntary_skip ||
-          (node_options.empty() &&
-           engine_.FutureCourseExists(completed_, term));
-      if (skip_edge) batch_.Push(completed_, empty_selection_);
-      if (!batch_.empty()) flush_batch();
-    }
-    COURSENAV_RETURN_IF_ERROR(child_error);
-    if (!expanded) Retire(paths, /*reaches_goal=*/false);  // dead end
     return Status::OK();
   }
 
@@ -241,7 +205,7 @@ class CountingRun {
   /// exact: the count fails as soon as distinct statuses exceed it.
   Status AddChild(const uint64_t* completed_words, uint64_t paths) {
     if (next_.full()) {
-      const ExplorationLimits& limits = options_.limits;
+      const ExplorationLimits& limits = engine_.options().limits;
       if (limits.max_memory_bytes > 0 &&
           current_.bytes() + next_.grown_bytes() > limits.max_memory_bytes) {
         return Status::ResourceExhausted(
@@ -252,7 +216,7 @@ class CountingRun {
     }
     if (next_.Add(completed_words, paths)) {
       ++statuses_;
-      const int64_t max_nodes = options_.limits.max_nodes;
+      const int64_t max_nodes = engine_.options().limits.max_nodes;
       if (max_nodes > 0 && statuses_ > max_nodes) {
         return Status::ResourceExhausted(
             StrFormat("status budget of %lld exceeded while counting",
@@ -276,21 +240,12 @@ class CountingRun {
       return Status::ResourceExhausted(
           "simulated allocation failure (fault injection)");
     }
-    return budget_.Check();
+    return engine_.budget().Check();
   }
 
-  const Catalog& catalog_;
-  const OfferingSchedule& schedule_;
-  const ExplorationOptions& options_;
-  Term end_term_;
-  const Goal* goal_;
   internal::ExplorationEngine engine_;
-  DeadlineBudget budget_;
-  std::unique_ptr<internal::PruningOracle> oracle_;
-  internal::CandidateBatch batch_;
-  std::vector<Verdict> verdicts_;
+  internal::Expander expander_;
   DynamicBitset completed_;  // the expanded status's completed set
-  const DynamicBitset empty_selection_;
   StatusLayer current_;  // the semester being expanded
   StatusLayer next_;     // its children
   int64_t statuses_ = 0;
@@ -310,7 +265,7 @@ Result<CountingResult> CountDeadlineDrivenPaths(
     return Status::InvalidArgument("end semester must be after the start");
   }
   CountingRun run(catalog, schedule, options, start.term, end_term,
-                  /*goal=*/nullptr, /*config=*/nullptr);
+                  /*spec=*/{});
   return run.Run(start);
 }
 
@@ -323,8 +278,8 @@ Result<CountingResult> CountGoalDrivenPaths(
   if (end_term <= start.term) {
     return Status::InvalidArgument("end semester must be after the start");
   }
-  CountingRun run(catalog, schedule, options, start.term, end_term, &goal,
-                  &config);
+  CountingRun run(catalog, schedule, options, start.term, end_term,
+                  {&goal, &config});
   return run.Run(start);
 }
 

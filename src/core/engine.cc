@@ -8,7 +8,9 @@ ExplorationEngine::ExplorationEngine(const Catalog& catalog,
                                      const OfferingSchedule& schedule,
                                      const ExplorationOptions& options,
                                      Term start, Term end)
-    : options_(options),
+    : catalog_(catalog),
+      schedule_(schedule),
+      options_(options),
       metrics_(&registry_),
       budget_(options.limits.max_seconds, options.cancel),
       start_(start),
@@ -54,24 +56,30 @@ bool ExplorationEngine::FutureCourseExists(const DynamicBitset& completed,
   return !remaining.empty();
 }
 
-Status ExplorationEngine::CheckBudget(const LearningGraph& graph) {
-  ++metrics_.budget_checks;
-  if (graph.allocation_failed()) {
+Status CheckGraphLimits(const ExplorationLimits& limits,
+                        bool allocation_failed, int64_t nodes,
+                        size_t memory_bytes) {
+  if (allocation_failed) {
     return Status::ResourceExhausted(
         "simulated allocation failure (fault injection)");
   }
-  const ExplorationLimits& limits = options_.limits;
-  if (limits.max_nodes > 0 && graph.num_nodes() >= limits.max_nodes) {
+  if (limits.max_nodes > 0 && nodes >= limits.max_nodes) {
     return Status::ResourceExhausted(
         StrFormat("node budget of %lld reached",
                   static_cast<long long>(limits.max_nodes)));
   }
-  if (limits.max_memory_bytes > 0 &&
-      graph.MemoryUsage() >= limits.max_memory_bytes) {
-    return Status::ResourceExhausted(
-        StrFormat("memory budget of %zu bytes reached",
-                  limits.max_memory_bytes));
+  if (limits.max_memory_bytes > 0 && memory_bytes >= limits.max_memory_bytes) {
+    return Status::ResourceExhausted(StrFormat(
+        "memory budget of %zu bytes reached", limits.max_memory_bytes));
   }
+  return Status::OK();
+}
+
+Status ExplorationEngine::CheckBudget(const LearningGraph& graph) {
+  ++metrics_.budget_checks;
+  COURSENAV_RETURN_IF_ERROR(
+      CheckGraphLimits(options_.limits, graph.allocation_failed(),
+                       graph.num_nodes(), graph.MemoryUsage()));
   return budget_.Check();
 }
 

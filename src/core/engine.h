@@ -1,6 +1,8 @@
 #ifndef COURSENAV_CORE_ENGINE_H_
 #define COURSENAV_CORE_ENGINE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -13,8 +15,29 @@
 #include "util/bitset.h"
 #include "util/cancellation.h"
 #include "util/result.h"
+#include "util/status.h"
 
 namespace coursenav::internal {
+
+/// The graph-size verdicts of a budget check, in order: a simulated
+/// allocation failure (fault injection), then the node and memory budgets
+/// of `limits` against `nodes` materialized nodes holding `memory_bytes`.
+/// OK, or ResourceExhausted naming the first reached. The serial engine
+/// and the parallel workers' sentinel both decide and word them here.
+Status CheckGraphLimits(const ExplorationLimits& limits,
+                        bool allocation_failed, int64_t nodes,
+                        size_t memory_bytes);
+
+/// Conservative pre-check for batched expansion: true when materializing
+/// up to `staged` more nodes on top of `nodes` could reach the node budget.
+/// Drivers staging candidates hand them over when this fires, then run the
+/// exact check, which therefore sees precisely the node count the
+/// unbatched loop would have seen.
+inline bool NearNodeBudget(const ExplorationLimits& limits, int64_t nodes,
+                           size_t staged) {
+  return limits.max_nodes > 0 &&
+         nodes + static_cast<int64_t>(staged) >= limits.max_nodes;
+}
 
 /// Shared machinery of the three path generators: the availability suffix
 /// cache, the skip-edge rule, and budget enforcement. Internal — not part
@@ -51,20 +74,6 @@ class ExplorationEngine {
   /// call per enumerated selection. Verdicts are sticky.
   Status CheckBudget(const LearningGraph& graph);
 
-  /// Conservative pre-check for batched expansion: true when materializing
-  /// up to `staged` more nodes could reach the node budget. Callers staging
-  /// candidates flush them when this fires, then run the exact
-  /// `CheckBudget` — which therefore sees precisely the node count the
-  /// unbatched loop would have seen (staged candidates that survive pruning
-  /// are materialized before any check that could trip). Does not bump
-  /// `budget_checks`.
-  bool MightExceedNodeBudget(const LearningGraph& graph,
-                             size_t staged) const {
-    return options_.limits.max_nodes > 0 &&
-           graph.num_nodes() + static_cast<int64_t>(staged) >=
-               options_.limits.max_nodes;
-  }
-
   /// Wall-clock seconds since the engine was constructed (the generation
   /// run's runtime, for stats reporting).
   double ElapsedSeconds() const { return budget_.ElapsedSeconds(); }
@@ -83,10 +92,15 @@ class ExplorationEngine {
     return ExplorationStats::FromMetrics(metrics_, ElapsedSeconds());
   }
 
+  const Catalog& catalog() const { return catalog_; }
+  const OfferingSchedule& schedule() const { return schedule_; }
+  const ExplorationOptions& options() const { return options_; }
   Term start() const { return start_; }
   Term end() const { return end_; }
 
  private:
+  const Catalog& catalog_;
+  const OfferingSchedule& schedule_;
   const ExplorationOptions& options_;
   /// Per-run registry; isolated so concurrent runs never share counters.
   mutable obs::MetricRegistry registry_;

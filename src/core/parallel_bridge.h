@@ -1,14 +1,9 @@
 #ifndef COURSENAV_CORE_PARALLEL_BRIDGE_H_
 #define COURSENAV_CORE_PARALLEL_BRIDGE_H_
 
-#include "catalog/catalog.h"
-#include "catalog/schedule.h"
-#include "catalog/term.h"
 #include "core/engine.h"
-#include "core/options.h"
-#include "core/pruning.h"
+#include "core/expand.h"
 #include "graph/learning_graph.h"
-#include "requirements/goal.h"
 #include "util/status.h"
 
 // The contract between the serial generators (this module) and the
@@ -27,27 +22,6 @@ namespace coursenav::internal {
 /// worker bounds the thread count.
 int EffectiveWorkers(int num_threads);
 
-/// What to expand: the deadline-driven loop when `goal` is null, the
-/// goal-driven loop (with its pruning oracle) otherwise. All referenced
-/// objects must outlive the expansion call.
-struct ParallelExpandSpec {
-  const Catalog* catalog = nullptr;
-  const OfferingSchedule* schedule = nullptr;
-  const ExplorationOptions* options = nullptr;
-  Term end_term;
-  const Goal* goal = nullptr;
-  const GoalDrivenConfig* config = nullptr;  // required when goal != null
-
-  /// Optional availability-pruning L3: a process-wide, epoch-scoped
-  /// `SharedAvailabilityCache` (src/cache/) every worker oracle consults
-  /// behind its private L1 in place of the run-local L2. Null (the
-  /// default) keeps the historical per-run cache, which dies at join.
-  /// Verdicts are a pure function of (term, reachable set) for the
-  /// monotone goals the oracle caches, so sharing across runs of the same
-  /// catalog epoch cannot change any verdict — only skip recomputing it.
-  SharedAvailabilityCache* shared_availability = nullptr;
-};
-
 /// Expands `graph`'s frontier across `num_workers` work-stealing workers,
 /// then canonicalizes the result into serial id order.
 ///
@@ -55,22 +29,24 @@ struct ParallelExpandSpec {
 /// holds exactly its root node; `engine.metrics().nodes_created` already
 /// counts that root (mirroring the serial generators).
 ///
-/// The expansion replicates the serial loops candidate-for-candidate —
-/// enumeration order, pruning decisions, skip-edge rule, terminal
-/// accounting, and one budget check per node pop plus one per enumerated
-/// selection — so a *complete* run produces a canonical graph byte-identical
-/// to the serial generator's and `ExplorationStats` totals that reconcile
-/// exactly, at any worker count. Budget enforcement is global: relaxed
-/// atomic node/byte counters plus per-worker deadline budgets feed a sticky
-/// stop flag, and a budget-truncated run yields a well-formed partial graph
-/// (nodes still on the frontier simply stay leaves), same as serial.
+/// The workers run the shared kernel (`Expander`, core/expand.h) that the
+/// serial drivers run, each with its own expander and a sink over the
+/// work-stealing deques: the same enumeration order, pruning decisions,
+/// skip-edge rule, terminal accounting, and one budget check per node pop
+/// plus one per enumerated selection. So a *complete* run produces a
+/// canonical graph byte-identical to the serial generator's and
+/// `ExplorationStats` totals that reconcile exactly, at any worker count.
+/// Budget enforcement is global: relaxed atomic node/byte counters plus
+/// per-worker deadline budgets feed a sticky stop flag, and a
+/// budget-truncated run yields a well-formed partial graph (nodes still on
+/// the frontier simply stay leaves), same as serial.
 ///
 /// Returns the run's termination status: OK for a complete expansion, the
 /// first budget/cancellation/fault verdict otherwise.
 ///
 /// Implemented by the exec layer (src/exec/parallel_expander.cc).
 Status ExpandFrontierParallel(ExplorationEngine& engine,
-                              const ParallelExpandSpec& spec, int num_workers,
+                              const ExpandSpec& spec, int num_workers,
                               LearningGraph* graph);
 
 }  // namespace coursenav::internal

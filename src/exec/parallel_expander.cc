@@ -6,20 +6,16 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/combinations.h"
-#include "core/enrollment.h"
+#include "core/expand.h"
 #include "exec/work_queue.h"
 #include "exec/worker_pool.h"
 #include "obs/metrics.h"
-#include "util/bitset.h"
 #include "util/cancellation.h"
 #include "util/mutex.h"
-#include "util/string_util.h"
 #include "util/thread_annotations.h"
 
 namespace coursenav::internal {
@@ -74,33 +70,17 @@ class BudgetSentinel {
     return status_;
   }
 
-  /// Conservative pre-check for batched expansion: true when materializing
-  /// up to `staged` more nodes could reach the node budget. Workers flush
-  /// their staged batch when this fires so the exact `CheckLimits` below
-  /// sees the same node count the unbatched loop would have.
-  bool MightExceedNodeBudget(size_t staged) const {
-    return limits_.max_nodes > 0 &&
-           nodes_.load(std::memory_order_relaxed) +
-                   static_cast<int64_t>(staged) >=
-               limits_.max_nodes;
+  bool NearNodeBudget(size_t staged) const {
+    return internal::NearNodeBudget(
+        limits_, nodes_.load(std::memory_order_relaxed), staged);
   }
 
-  /// The global node/byte limits, mirroring ExplorationEngine::CheckBudget's
-  /// wording and order.
-  Status CheckLimits() const {
-    if (limits_.max_nodes > 0 &&
-        nodes_.load(std::memory_order_relaxed) >= limits_.max_nodes) {
-      return Status::ResourceExhausted(
-          StrFormat("node budget of %lld reached",
-                    static_cast<long long>(limits_.max_nodes)));
-    }
-    if (limits_.max_memory_bytes > 0 &&
-        memory_.load(std::memory_order_relaxed) >=
-            static_cast<int64_t>(limits_.max_memory_bytes)) {
-      return Status::ResourceExhausted(StrFormat(
-          "memory budget of %zu bytes reached", limits_.max_memory_bytes));
-    }
-    return Status::OK();
+  /// The global node/byte limits, after the calling worker's own shard
+  /// allocation flag.
+  Status CheckLimits(bool allocation_failed) const {
+    return CheckGraphLimits(
+        limits_, allocation_failed, nodes_.load(std::memory_order_relaxed),
+        static_cast<size_t>(memory_.load(std::memory_order_relaxed)));
   }
 
  private:
@@ -117,202 +97,90 @@ class BudgetSentinel {
 /// during the run; the main thread constructs it (binding the thread-local
 /// tracer into the oracle's stage accumulators) and folds it at join.
 struct WorkerCtx {
-  WorkerCtx(int worker_index, const ParallelExpandSpec& spec,
-            ExplorationEngine& engine, double remaining_seconds,
-            SharedAvailabilityCache* shared_cache)
+  WorkerCtx(int worker_index, const ExplorationEngine& engine,
+            const ExpandSpec& spec, double remaining_seconds)
       : shard(worker_index),
         metrics(nullptr),  // detached tally sheet, folded at join
-        deadline(remaining_seconds, spec.options->cancel),
-        scratch(spec.catalog->size()),
-        selection_scratch(spec.catalog->size()) {
-    if (spec.goal != nullptr) {
-      oracle.emplace(*spec.goal, engine, *spec.options, *spec.config,
-                     &metrics, shared_cache);
-    }
-    batch.Configure(spec.catalog->size());
-  }
+        deadline(remaining_seconds, engine.options().cancel),
+        expander(engine, spec, &metrics) {}
 
   int shard;
   obs::ExplorationMetrics metrics;
   DeadlineBudget deadline;
-  std::optional<PruningOracle> oracle;
-  /// Reused scratch bitsets: staged batch rows are copied back into these
-  /// (assigned, not reallocated) when a kept candidate is materialized.
-  DynamicBitset scratch;
-  DynamicBitset selection_scratch;
-  /// SoA staging buffer for the worker's current parent expansion, and the
-  /// verdict vector ClassifyBatch fills for it.
-  CandidateBatch batch;
-  std::vector<PruningOracle::Verdict> verdicts;
+  Expander expander;
   size_t last_memory = 0;
 };
 
 /// Everything the workers share, read-only or internally synchronized.
 struct ExpandEnv {
-  const ParallelExpandSpec* spec;
-  ExplorationEngine* engine;
   LearningGraph* graph;
   BudgetSentinel* sentinel;
   exec::WorkStealingQueues<FrontierItem>* queues;
   /// Queued + in-flight frontier items; 0 <=> the expansion is complete.
   std::atomic<int64_t>* pending;
-  /// The shared empty selection for skip edges (read-only).
-  const DynamicBitset* empty_selection;
 };
 
-/// Mirror of ExplorationEngine::CheckBudget for one worker: same tally
-/// (one `budget_checks` bump per call), same verdict order — allocation
-/// failure, node budget, memory budget, then deadline/cancellation.
-Status WorkerBudgetCheck(WorkerCtx& ctx, const ExpandEnv& env) {
-  ++ctx.metrics.budget_checks;
-  if (env.sentinel->stopped()) return env.sentinel->status();
-  if (env.graph->ShardAllocationFailed(ctx.shard)) {
-    return Status::ResourceExhausted(
-        "simulated allocation failure (fault injection)");
-  }
-  Status limits = env.sentinel->CheckLimits();
-  if (!limits.ok()) return limits;
-  return ctx.deadline.Check();
-}
+/// A worker's sink: its budget check runs against the global sentinel, and
+/// a kept child becomes a node in the worker's shard, pushed on its deque.
+struct WorkerSink {
+  WorkerCtx& ctx;
+  const ExpandEnv& env;
+  int worker_index;
+  FrontierItem parent;
 
-/// Expands one frontier node, replicating the serial generators' loop body
-/// candidate-for-candidate (deadline-driven when spec.goal is null, the
-/// goal-driven variant otherwise).
+  bool NearNodeBudget(size_t staged) const {
+    return env.sentinel->NearNodeBudget(staged);
+  }
+
+  /// A failing check trips the sentinel.
+  bool CheckBudget() {
+    Status status = Verdict();
+    if (status.ok()) return true;
+    env.sentinel->Trip(std::move(status));
+    return false;
+  }
+
+  /// ExplorationEngine::CheckBudget for one worker: same tally (one
+  /// `budget_checks` bump per call), same verdict order — allocation
+  /// failure, node budget, memory budget, then deadline/cancellation.
+  Status Verdict() {
+    ++ctx.metrics.budget_checks;
+    if (env.sentinel->stopped()) return env.sentinel->status();
+    COURSENAV_RETURN_IF_ERROR(env.sentinel->CheckLimits(
+        env.graph->ShardAllocationFailed(ctx.shard)));
+    return ctx.deadline.Check();
+  }
+
+  bool Add(const CandidateBatch& batch, size_t row) {
+    ctx.expander.UnpackChild(batch, row);
+    LearningGraph::CreatedChild child =
+        ctx.expander.AddChild(*env.graph, ctx.shard, parent.id, parent.node,
+                              /*edge_cost=*/0.0, parent.node->path_cost);
+    env.sentinel->AddNodes(1);
+    const size_t shard_memory = env.graph->ShardMemoryUsage(ctx.shard);
+    env.sentinel->AddMemory(
+        static_cast<int64_t>(shard_memory - ctx.last_memory));
+    ctx.last_memory = shard_memory;
+    env.pending->fetch_add(1, std::memory_order_relaxed);
+    env.queues->Push(worker_index, FrontierItem{child.id, child.node});
+    return true;
+  }
+};
+
+/// Expands one frontier node through the shared kernel; a failed budget
+/// check leaves it unexpanded.
 void ExpandNode(WorkerCtx& ctx, int worker_index, const FrontierItem& item,
                 const ExpandEnv& env) {
-  Status budget = WorkerBudgetCheck(ctx, env);
-  if (!budget.ok()) {
-    env.sentinel->Trip(std::move(budget));
-    return;
-  }
+  WorkerSink sink{ctx, env, worker_index, item};
+  if (!sink.CheckBudget()) return;
   ctx.metrics.nodes_expanded += 1;
-
+  // The worker owns the popped node exclusively and the arena never
+  // relocates it, so its sets are read in place.
   LearningNode* node = item.node;
-  const Term term = node->term;
-  // Stable references: the arena never relocates the node, and this worker
-  // owns it exclusively, so no snapshot copies (the serial loops' old
-  // reallocation workaround) are needed.
-  const DynamicBitset& completed = node->completed;
-  const DynamicBitset& node_options = node->options;
-
-  const ParallelExpandSpec& spec = *env.spec;
-  if (spec.goal != nullptr) {
-    if (spec.goal->IsSatisfied(completed)) {
-      node->is_goal = true;
-      ctx.metrics.terminal_paths += 1;
-      ctx.metrics.goal_paths += 1;
-      return;
-    }
-    if (term == spec.end_term) {
-      ctx.metrics.terminal_paths += 1;
-      ctx.metrics.dead_end_paths += 1;
-      return;
-    }
-  } else if (term == spec.end_term) {
-    node->is_goal = true;
-    ctx.metrics.terminal_paths += 1;
-    ctx.metrics.goal_paths += 1;
-    return;
-  }
-
-  const Term child_term = term.Next();
-  const int left_parent =
-      spec.goal != nullptr ? ctx.oracle->LeftAt(completed) : 0;
-
-  bool expanded = false;
-  // Candidates are staged into the worker's SoA batch (fusing X_i ∪ W into
-  // a contiguous row) and classified batch-at-a-time; kept rows are then
-  // materialized in staging order, which is exactly enumeration order, so
-  // the shard-local node sequence matches the unbatched loop.
-  auto flush_batch = [&]() {
-    if (ctx.batch.empty()) return;
-    if (spec.goal != nullptr) {
-      ctx.oracle->ClassifyBatch(ctx.batch, child_term, left_parent,
-                                &ctx.verdicts);
-    } else {
-      ctx.verdicts.assign(ctx.batch.size(), PruningOracle::Verdict::kKeep);
-    }
-    for (size_t i = 0; i < ctx.batch.size(); ++i) {
-      if (ctx.verdicts[i] != PruningOracle::Verdict::kKeep) continue;
-      ctx.batch.CopyCompletedTo(i, &ctx.scratch);
-      ctx.batch.CopySelectionTo(i, &ctx.selection_scratch);
-      DynamicBitset next_options =
-          ComputeOptions(*spec.catalog, *spec.schedule, ctx.scratch,
-                         child_term, *spec.options);
-      LearningGraph::CreatedChild child = env.graph->AddChildTo(
-          ctx.shard, item.id, node, ctx.selection_scratch,
-          DynamicBitset(ctx.scratch), std::move(next_options),
-          /*edge_cost=*/0.0, /*path_cost=*/node->path_cost);
-      ctx.metrics.nodes_created += 1;
-      ctx.metrics.edges_created += 1;
-      env.sentinel->AddNodes(1);
-      size_t shard_memory = env.graph->ShardMemoryUsage(ctx.shard);
-      env.sentinel->AddMemory(
-          static_cast<int64_t>(shard_memory - ctx.last_memory));
-      ctx.last_memory = shard_memory;
-      env.pending->fetch_add(1, std::memory_order_relaxed);
-      env.queues->Push(worker_index, FrontierItem{child.id, child.node});
-      expanded = true;
-    }
-    ctx.batch.Clear();
-  };
-
-  // The goal-driven Equation 1 shortcut: selections below the minimum size
-  // provably miss the deadline; account them without enumerating.
-  int min_selection = 1;
-  if (spec.goal != nullptr) {
-    min_selection = ctx.oracle->MinSelectionSize(left_parent, term);
-    if (min_selection > 1) {
-      int skipped_max =
-          std::min(min_selection - 1, spec.options->max_courses_per_term);
-      ctx.oracle->AccountSkippedTimePruned(static_cast<int64_t>(
-          CountSelections(node_options.count(), 1, skipped_max)));
-    }
-  }
-
-  bool enumerate = !node_options.empty();
-  if (spec.goal != nullptr) {
-    enumerate = enumerate && min_selection <= node_options.count();
-  }
-  if (enumerate) {
-    bool completed_enumeration = ForEachSelection(
-        node_options, min_selection, spec.options->max_courses_per_term,
-        [&](const DynamicBitset& selection) {
-          // Flush before the exact budget check whenever the staged rows
-          // could cross the node budget, so `CheckLimits` sees the same
-          // node tally the unbatched loop would have at this selection.
-          if (!ctx.batch.empty() &&
-              env.sentinel->MightExceedNodeBudget(ctx.batch.size())) {
-            flush_batch();
-          }
-          Status per_selection = WorkerBudgetCheck(ctx, env);
-          if (!per_selection.ok()) {
-            // Candidates staged before the trip already passed their budget
-            // checks; materialize them (matching the unbatched loop) before
-            // propagating the verdict.
-            flush_batch();
-            env.sentinel->Trip(std::move(per_selection));
-            return false;
-          }
-          ctx.batch.Push(completed, selection);
-          if (ctx.batch.full()) flush_batch();
-          return true;
-        });
-    // Mirrors the serial `break`: a truncated node is left partially
-    // expanded and never accounted as terminal.
-    if (!completed_enumeration) return;
-  }
-
-  bool skip_edge = spec.options->allow_voluntary_skip ||
-                   (node_options.empty() &&
-                    env.engine->FutureCourseExists(completed, term));
-  if (skip_edge) ctx.batch.Push(completed, *env.empty_selection);
-  flush_batch();
-
-  if (!expanded) {
-    ctx.metrics.terminal_paths += 1;
-    ctx.metrics.dead_end_paths += 1;
-  }
+  const Expansion expansion = ctx.expander.Expand(
+      node->term, node->completed, &node->options, sink);
+  if (expansion == Expansion::kGoal) node->is_goal = true;
+  if (expansion != Expansion::kStopped) CountLeaf(expansion, ctx.metrics);
 }
 
 void WorkerBody(int worker_index, WorkerCtx& ctx, const ExpandEnv& env) {
@@ -333,24 +201,15 @@ void WorkerBody(int worker_index, WorkerCtx& ctx, const ExpandEnv& env) {
 }  // namespace
 
 Status ExpandFrontierParallel(ExplorationEngine& engine,
-                              const ParallelExpandSpec& spec, int num_workers,
+                              const ExpandSpec& spec, int num_workers,
                               LearningGraph* graph) {
   num_workers = EffectiveWorkers(num_workers);
 
-  BudgetSentinel sentinel(spec.options->limits, graph->num_nodes(),
+  BudgetSentinel sentinel(engine.options().limits, graph->num_nodes(),
                           graph->MemoryUsage());
   exec::WorkStealingQueues<FrontierItem> queues(num_workers);
   std::atomic<int64_t> pending{1};  // the root
-  const DynamicBitset empty_selection(spec.catalog->size());
-
-  ExpandEnv env;
-  env.spec = &spec;
-  env.engine = &engine;
-  env.graph = graph;
-  env.sentinel = &sentinel;
-  env.queues = &queues;
-  env.pending = &pending;
-  env.empty_selection = &empty_selection;
+  const ExpandEnv env{graph, &sentinel, &queues, &pending};
 
   // Per-worker deadlines inherit whatever wall-clock budget the engine has
   // left (the engine's own DeadlineBudget keeps ticking for stats); +inf
@@ -367,17 +226,18 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
   // provided (src/cache/ promotes the verdicts across runs), a run-local
   // cache otherwise.
   SharedAvailabilityCache local_shared_cache;
-  SharedAvailabilityCache* shared_cache = spec.shared_availability != nullptr
-                                              ? spec.shared_availability
-                                              : &local_shared_cache;
+  ExpandSpec worker_spec = spec;
+  if (worker_spec.shared_availability == nullptr) {
+    worker_spec.shared_availability = &local_shared_cache;
+  }
   std::vector<std::unique_ptr<WorkerCtx>> ctxs;
   ctxs.reserve(static_cast<size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
     // Constructed on this thread so the oracle's stage accumulators bind
     // the run's tracer (sampling from workers is safe: each accumulator is
     // single-worker, and clock reads are const).
-    ctxs.push_back(std::make_unique<WorkerCtx>(
-        w, spec, engine, per_worker_deadline, shared_cache));
+    ctxs.push_back(std::make_unique<WorkerCtx>(w, engine, worker_spec,
+                                               per_worker_deadline));
     ctxs[static_cast<size_t>(w)]->last_memory = graph->ShardMemoryUsage(w);
   }
 
@@ -394,7 +254,9 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
   std::vector<const PruningOracle*> oracles;
   for (const std::unique_ptr<WorkerCtx>& ctx : ctxs) {
     engine.metrics().MergeFrom(ctx->metrics);
-    if (ctx->oracle.has_value()) oracles.push_back(&*ctx->oracle);
+    if (ctx->expander.oracle() != nullptr) {
+      oracles.push_back(ctx->expander.oracle());
+    }
   }
   PruningOracle::EmitStageSpans(oracles);
 

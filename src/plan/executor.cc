@@ -1,16 +1,15 @@
 // coursenav:deterministic — path output order is part of the contract.
 #include "plan/executor.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
 
-#include "core/combinations.h"
 #include "core/engine.h"
 #include "core/enrollment.h"
+#include "core/expand.h"
 #include "core/filters.h"
 #include "core/parallel_bridge.h"
 #include "graph/learning_graph.h"
@@ -36,7 +35,7 @@ Status ValidateRequest(const Catalog& catalog, const OfferingSchedule& schedule,
 
 /// Pipeline prologue, part 2 — the Source operator: the start node n1 with
 /// X1 = X and its derived option set (lines 1-3 of Algorithm 1), shared
-/// root-construction boilerplate of all three loops.
+/// by every pipeline.
 NodeId ConstructRoot(const Catalog& catalog, const OfferingSchedule& schedule,
                      const ExplorationRequest& request, LearningGraph& graph,
                      obs::ExplorationMetrics& metrics) {
@@ -49,325 +48,130 @@ NodeId ConstructRoot(const Catalog& catalog, const OfferingSchedule& schedule,
   return root;
 }
 
-/// The deadline-driven pipeline: Source → Expand (Algorithm 1).
-Result<GenerationResult> RunDeadline(const ExplorationPlan& plan,
-                                     const Catalog& catalog,
-                                     const OfferingSchedule& schedule) {
-  const ExplorationRequest& request = plan.request;
-  const ExplorationOptions& options = request.options;
-  const Term end_term = request.end_term;
-  COURSENAV_RETURN_IF_ERROR(ValidateRequest(catalog, schedule, request));
+/// What the serial sinks share: the engine's exact budget checks against
+/// the run's graph, and the node being expanded, which kept children join.
+struct SerialSink {
+  internal::ExplorationEngine& engine;
+  internal::Expander& expander;
+  LearningGraph& graph;
+  NodeId parent = kInvalidNodeId;
+  LearningNode* node = nullptr;
+  /// The last budget verdict: OK until a check stops the run.
+  Status stop = Status::OK();
 
-  obs::ScopedSpan run_span(obs::kSpanGenerateDeadline);
+  bool NearNodeBudget(size_t staged) const {
+    return internal::NearNodeBudget(engine.options().limits,
+                                    graph.num_nodes(), staged);
+  }
+  bool CheckBudget() {
+    stop = engine.CheckBudget(graph);
+    return stop.ok();
+  }
+  /// Materializes the unpacked child, costed by the caller, under `node`.
+  NodeId AddChild(double edge_cost, double path_cost) {
+    return expander.AddChild(graph, /*shard=*/0, parent, node, edge_cost,
+                             path_cost)
+        .id;
+  }
+};
+
+/// Expands frontier node `current` through `sink`: counts the expansion,
+/// marks goal leaves and tallies every leaf.
+template <typename Sink>
+internal::Expansion ExpandSerial(Sink& sink, NodeId current) {
+  obs::ExplorationMetrics& metrics = sink.engine.metrics();
+  metrics.nodes_expanded += 1;
+  sink.parent = current;
+  // Arena storage never relocates nodes, so the pointer stays valid while
+  // children are added.
+  sink.node = sink.graph.stable_node_ptr(current);
+  const internal::Expansion expansion = sink.expander.Expand(
+      sink.node->term, sink.node->completed, &sink.node->options, sink);
+  if (expansion == internal::Expansion::kGoal) sink.graph.MarkGoal(current);
+  if (expansion != internal::Expansion::kStopped) {
+    internal::CountLeaf(expansion, metrics);
+  }
+  return expansion;
+}
+
+/// The LIFO frontier's sink: a kept child becomes a node on the worklist.
+struct WorklistSink : SerialSink {
+  std::vector<NodeId>& worklist;
+
+  bool Add(const internal::CandidateBatch& batch, size_t row) {
+    expander.UnpackChild(batch, row);
+    worklist.push_back(AddChild(0.0, node->path_cost));
+    return true;
+  }
+};
+
+/// The serial LIFO frontier of the deadline- and goal-driven pipelines: a
+/// worklist of nodes with out-degree 0 (line 4 of Algorithm 1). LIFO keeps
+/// the frontier small and cache-warm; expansion order does not affect the
+/// output set. Returns the run's termination.
+Status ExpandWorklist(internal::ExplorationEngine& engine,
+                      const internal::ExpandSpec& spec, LearningGraph& graph) {
+  internal::Expander expander(engine, spec);
+  std::vector<NodeId> worklist{graph.root()};
+  WorklistSink sink{{engine, expander, graph}, worklist};
+  while (!worklist.empty() && sink.CheckBudget()) {
+    const NodeId current = worklist.back();
+    worklist.pop_back();
+    if (ExpandSerial(sink, current) == internal::Expansion::kStopped) break;
+  }
+  // Inside expand/loop, like the parallel workers' spans.
+  expander.EmitStageSpans();
+  if (CN_DCHECK_IS_ON() && expander.oracle() != nullptr) {
+    expander.oracle()->CheckInvariants();
+  }
+  return sink.stop;
+}
+
+/// The deadline- and goal-driven pipelines: Source → Expand (Algorithm 1),
+/// plus Prune with a goal (§4.2); serial or on the parallel frontier.
+Result<GenerationResult> RunGraph(const ExplorationPlan& plan,
+                                  const Catalog& catalog,
+                                  const OfferingSchedule& schedule,
+                                  const ExecHooks& hooks) {
+  const ExplorationRequest& request = plan.request;
+  COURSENAV_RETURN_IF_ERROR(ValidateRequest(catalog, schedule, request));
+  internal::ExpandSpec spec;
+  if (request.type == TaskType::kGoalDriven) {
+    spec.goal = request.goal.get();
+    spec.config = &request.config;
+    spec.shared_availability = hooks.shared_availability;
+  }
+
+  obs::ScopedSpan run_span(spec.goal != nullptr ? obs::kSpanGenerateGoal
+                                                : obs::kSpanGenerateDeadline);
   std::optional<obs::ScopedSpan> construct_span;
   construct_span.emplace(obs::kSpanGraphConstruct);
-  internal::ExplorationEngine engine(catalog, schedule, options,
-                                     request.start.term, end_term);
+  internal::ExplorationEngine engine(catalog, schedule, request.options,
+                                     request.start.term, request.end_term);
   obs::ExplorationMetrics& metrics = engine.metrics();
   GenerationResult result;
   LearningGraph& graph = result.graph;
-
-  if (plan.parallel) {
-    graph.ConfigureShards(plan.workers);
-  }
-
-  NodeId root = ConstructRoot(catalog, schedule, request, graph, metrics);
+  if (plan.parallel) graph.ConfigureShards(plan.workers);
+  ConstructRoot(catalog, schedule, request, graph, metrics);
   construct_span->AddInt("catalog_courses", catalog.size());
   construct_span.reset();
 
-  if (plan.parallel) {
-    obs::ScopedSpan expand_span(obs::kSpanExpandLoop);
-    internal::ParallelExpandSpec spec;
-    spec.catalog = &catalog;
-    spec.schedule = &schedule;
-    spec.options = &options;
-    spec.end_term = end_term;
-    result.termination = internal::ExpandFrontierParallel(
-        engine, spec, options.num_threads, &graph);
-    expand_span.AddInt("nodes_expanded", metrics.nodes_expanded);
-    expand_span.AddInt("threads", plan.workers);
-  } else {
-    obs::ScopedSpan expand_span(obs::kSpanExpandLoop);
-
-    // Worklist of nodes with out-degree 0 (line 4). LIFO keeps the frontier
-    // small and cache-warm; expansion order does not affect the output set.
-    std::vector<NodeId> worklist{root};
-    // Reused X_i ∪ W scratch; assignment reuses its capacity per candidate.
-    DynamicBitset next_completed;
-
-    while (!worklist.empty()) {
-      Status budget = engine.CheckBudget(graph);
-      if (!budget.ok()) {
-        result.termination = budget;
-        break;
-      }
-      NodeId current = worklist.back();
-      worklist.pop_back();
-      metrics.nodes_expanded += 1;
-
-      // Arena storage never relocates nodes, so references stay valid
-      // across AddChild; no per-expansion snapshot copies.
-      const LearningNode& node = graph.node(current);
-      const Term term = node.term;
-      const DynamicBitset& completed = node.completed;
-      const DynamicBitset& node_options = node.options;
-
-      // Line 5: nodes in the end semester are goal vertices; stop there.
-      if (term == end_term) {
-        graph.MarkGoal(current);
-        metrics.terminal_paths += 1;
-        metrics.goal_paths += 1;
-        continue;
-      }
-
-      bool expanded = false;
-      auto add_child = [&](const DynamicBitset& selection) {
-        next_completed = completed;
-        next_completed |= selection;  // line 11: X_{i+1} = X_i ∪ W
-        DynamicBitset next_options = ComputeOptions(
-            catalog, schedule, next_completed, term.Next(), options);  // l.13
-        NodeId child =
-            graph.AddChild(current, selection, DynamicBitset(next_completed),
-                           std::move(next_options));
-        metrics.nodes_created += 1;
-        metrics.edges_created += 1;
-        worklist.push_back(child);
-        expanded = true;
-      };
-
-      // Lines 7-14: one child per course combination W ⊆ Y_i, |W| <= m.
-      if (!node_options.empty()) {
-        bool completed_enumeration = ForEachSelection(
-            node_options, 1, options.max_courses_per_term,
-            [&](const DynamicBitset& selection) {
-              if (!engine.CheckBudget(graph).ok()) return false;
-              add_child(selection);
-              return true;
-            });
-        if (!completed_enumeration) {
-          result.termination = engine.CheckBudget(graph);
-          break;
-        }
-      }
-
-      // Skip edge: advance a semester with an empty selection when nothing
-      // is electable now but courses remain later (Figure 3's n4 → n7).
-      // With allow_voluntary_skip the student may idle unconditionally.
-      bool skip_edge =
-          options.allow_voluntary_skip ||
-          (node_options.empty() && engine.FutureCourseExists(completed, term));
-      if (skip_edge) {
-        add_child(DynamicBitset(catalog.size()));
-      }
-
-      if (!expanded) {
-        // Dead end: no options now and none later. The path ends here.
-        metrics.terminal_paths += 1;
-        metrics.dead_end_paths += 1;
-      }
-    }
-    expand_span.AddInt("nodes_expanded", metrics.nodes_expanded);
-  }
-
-  if (CN_DCHECK_IS_ON()) result.graph.CheckInvariants();
-  result.stats = engine.StatsView();
-  run_span.AddInt("nodes_created", result.stats.nodes_created);
-  if (!result.termination.ok()) return result;
-
-  result.termination = Status::OK();
-  return result;
-}
-
-/// The goal-driven pipeline: Source → Expand → Prune (§4.2).
-Result<GenerationResult> RunGoal(const ExplorationPlan& plan,
-                                 const Catalog& catalog,
-                                 const OfferingSchedule& schedule,
-                                 const ExecHooks& hooks) {
-  const ExplorationRequest& request = plan.request;
-  const ExplorationOptions& options = request.options;
-  const GoalDrivenConfig& config = request.config;
-  const Goal& goal = *request.goal;
-  const Term end_term = request.end_term;
-  COURSENAV_RETURN_IF_ERROR(ValidateRequest(catalog, schedule, request));
-
-  obs::ScopedSpan run_span(obs::kSpanGenerateGoal);
-  std::optional<obs::ScopedSpan> construct_span;
-  construct_span.emplace(obs::kSpanGraphConstruct);
-  internal::ExplorationEngine engine(catalog, schedule, options,
-                                     request.start.term, end_term);
-  obs::ExplorationMetrics& metrics = engine.metrics();
-
-  GenerationResult result;
-  LearningGraph& graph = result.graph;
-
-  if (plan.parallel) {
-    graph.ConfigureShards(plan.workers);
-  }
-
-  NodeId root = ConstructRoot(catalog, schedule, request, graph, metrics);
-  construct_span->AddInt("catalog_courses", catalog.size());
-  construct_span.reset();  // engine + root built; close the span
-
-  if (plan.parallel) {
-    obs::ScopedSpan expand_span(obs::kSpanExpandLoop);
-    internal::ParallelExpandSpec spec;
-    spec.catalog = &catalog;
-    spec.schedule = &schedule;
-    spec.options = &options;
-    spec.end_term = end_term;
-    spec.goal = &goal;
-    spec.config = &config;
-    spec.shared_availability = hooks.shared_availability;
-    result.termination = internal::ExpandFrontierParallel(
-        engine, spec, options.num_threads, &graph);
-    expand_span.AddInt("nodes_expanded", metrics.nodes_expanded);
-    expand_span.AddInt("threads", plan.workers);
-
-    result.stats = engine.StatsView();
-    run_span.AddInt("nodes_created", result.stats.nodes_created);
-    run_span.AddInt("goal_paths", result.stats.goal_paths);
-    return result;
-  }
-
-  internal::PruningOracle oracle(goal, engine, options, config,
-                                 /*metrics=*/nullptr,
-                                 hooks.shared_availability);
-  using Verdict = internal::PruningOracle::Verdict;
   {
     obs::ScopedSpan expand_span(obs::kSpanExpandLoop);
-
-    std::vector<NodeId> worklist{root};
-    // Candidates are staged into a structure-of-arrays batch and classified
-    // wholesale (clause-major kernels); kept rows materialize in staging
-    // order, which reproduces the node-at-a-time output exactly.
-    internal::CandidateBatch batch;
-    batch.Configure(catalog.size());
-    std::vector<Verdict> verdicts;
-    // Reused scratch sets: pruned candidates cost no heap traffic.
-    DynamicBitset next_completed(catalog.size());
-    DynamicBitset selection_scratch(catalog.size());
-    const DynamicBitset empty_selection(catalog.size());
-
-    while (!worklist.empty()) {
-      Status budget = engine.CheckBudget(graph);
-      if (!budget.ok()) {
-        result.termination = budget;
-        break;
-      }
-      NodeId current = worklist.back();
-      worklist.pop_back();
-      metrics.nodes_expanded += 1;
-
-      // Arena storage never relocates nodes; references stay valid across
-      // AddChild (no per-expansion snapshot copies).
-      const LearningNode& node = graph.node(current);
-      const Term term = node.term;
-      const DynamicBitset& completed = node.completed;
-      const DynamicBitset& node_options = node.options;
-
-      // Stop at goal nodes: the requirement already holds here (§4.2.3).
-      if (goal.IsSatisfied(completed)) {
-        graph.MarkGoal(current);
-        metrics.terminal_paths += 1;
-        metrics.goal_paths += 1;
-        continue;
-      }
-      // Stop at the end semester; this leaf misses the goal.
-      if (term == end_term) {
-        metrics.terminal_paths += 1;
-        metrics.dead_end_paths += 1;
-        continue;
-      }
-
-      const Term child_term = term.Next();
-      const int left_parent = oracle.LeftAt(completed);
-
-      bool expanded = false;
-      // Classifies the staged batch and materializes kept candidates in
-      // staging order (same children, same worklist order as the old
-      // candidate-at-a-time loop).
-      auto flush_batch = [&]() {
-        if (batch.empty()) return;
-        oracle.ClassifyBatch(batch, child_term, left_parent, &verdicts);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (verdicts[i] != Verdict::kKeep) continue;
-          batch.CopyCompletedTo(i, &next_completed);
-          batch.CopySelectionTo(i, &selection_scratch);
-          DynamicBitset next_options = ComputeOptions(
-              catalog, schedule, next_completed, child_term, options);
-          NodeId child = graph.AddChild(current, selection_scratch,
-                                        DynamicBitset(next_completed),
-                                        std::move(next_options));
-          metrics.nodes_created += 1;
-          metrics.edges_created += 1;
-          worklist.push_back(child);
-          expanded = true;
-        }
-        batch.Clear();
-      };
-
-      // Selections below Equation 1's minimum size provably miss the
-      // deadline; skip enumerating them but account them as time-pruned.
-      int min_selection = oracle.MinSelectionSize(left_parent, term);
-      if (min_selection > 1) {
-        // Only sizes up to m were ever candidates.
-        int skipped_max =
-            std::min(min_selection - 1, options.max_courses_per_term);
-        oracle.AccountSkippedTimePruned(static_cast<int64_t>(
-            CountSelections(node_options.count(), 1, skipped_max)));
-      }
-
-      if (!node_options.empty() && min_selection <= node_options.count()) {
-        bool completed_enumeration = ForEachSelection(
-            node_options, min_selection, options.max_courses_per_term,
-            [&](const DynamicBitset& selection) {
-              // Near the node budget, catch the graph up to exactly the
-              // state the unbatched loop would have, so the per-selection
-              // check below trips at the same selection it always did.
-              if (!batch.empty() &&
-                  engine.MightExceedNodeBudget(graph, batch.size())) {
-                flush_batch();
-              }
-              if (!engine.CheckBudget(graph).ok()) return false;
-              batch.Push(completed, selection);
-              if (batch.full()) flush_batch();
-              return true;
-            });
-        if (!completed_enumeration) {
-          flush_batch();
-          result.termination = engine.CheckBudget(graph);
-          break;
-        }
-      }
-
-      // Skip edge (empty selection), under the same pruning regime.
-      bool skip_edge =
-          options.allow_voluntary_skip ||
-          (node_options.empty() && engine.FutureCourseExists(completed, term));
-      if (skip_edge) {
-        batch.Push(completed, empty_selection);
-      }
-      flush_batch();
-
-      if (!expanded) {
-        metrics.terminal_paths += 1;
-        metrics.dead_end_paths += 1;
-      }
-    }
+    result.termination =
+        plan.parallel ? internal::ExpandFrontierParallel(
+                            engine, spec, request.options.num_threads, &graph)
+                      : ExpandWorklist(engine, spec, graph);
     expand_span.AddInt("nodes_expanded", metrics.nodes_expanded);
+    if (plan.parallel) expand_span.AddInt("threads", plan.workers);
   }
 
-  oracle.EmitStageSpans();
-  // Structural self-checks (dcheck builds): the run's graph and the
-  // oracle's availability cache must both be consistent before results
-  // surface.
-  if (CN_DCHECK_IS_ON()) {
-    graph.CheckInvariants();
-    oracle.CheckInvariants();
-  }
+  if (CN_DCHECK_IS_ON()) graph.CheckInvariants();
   result.stats = engine.StatsView();
   run_span.AddInt("nodes_created", result.stats.nodes_created);
-  run_span.AddInt("goal_paths", result.stats.goal_paths);
+  if (spec.goal != nullptr) {
+    run_span.AddInt("goal_paths", result.stats.goal_paths);
+  }
   return result;
 }
 
@@ -390,6 +194,41 @@ struct FrontierCompare {
   }
 };
 
+using RankedFrontier =
+    std::priority_queue<FrontierEntry, std::vector<FrontierEntry>,
+                        FrontierCompare>;
+
+/// The best-first frontier's sink: a kept child is costed by the ranking
+/// and becomes a node on the f-ordered heap. Sequence numbers, the heap's
+/// tie-break, follow enumeration order.
+struct RankedSink : SerialSink {
+  RankedFrontier& frontier;
+  const RankingFunction& ranking;
+  const Goal& goal;
+  /// Aggregate wall time inside the ranking function (EdgeCost + admissible
+  /// bound), emitted as one "rank/evaluate" span per run.
+  obs::StageAccumulator& rank_stage;
+  int64_t sequence = 0;
+
+  bool Add(const internal::CandidateBatch& batch, size_t row) {
+    expander.UnpackChild(batch, row);
+    double edge_cost;
+    double child_cost;
+    double cost_to_go;
+    {
+      obs::StageSample sample(&rank_stage);
+      edge_cost = ranking.EdgeCost(expander.child_selection(), node->term);
+      child_cost = ranking.Combine(node->path_cost, edge_cost);
+      cost_to_go = ranking.RemainingCostLowerBound(
+          expander.child_completed(), goal,
+          engine.options().max_courses_per_term);
+    }
+    const NodeId child = AddChild(edge_cost, child_cost);
+    frontier.push({child_cost + cost_to_go, sequence++, child});
+    return true;
+  }
+};
+
 /// The ranked pipeline: Source → Expand → Prune → Rank → Limit (§4.3).
 /// Always serial (see the planner's "ranked runs serial" note).
 Result<RankedResult> RunRanked(const ExplorationPlan& plan,
@@ -397,11 +236,7 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
                                const OfferingSchedule& schedule,
                                const ExecHooks& hooks) {
   const ExplorationRequest& request = plan.request;
-  const ExplorationOptions& options = request.options;
-  const GoalDrivenConfig& config = request.config;
   const Goal& goal = *request.goal;
-  const RankingFunction& ranking = *request.ranking;
-  const Term end_term = request.end_term;
   const int k = request.top_k;
   COURSENAV_RETURN_IF_ERROR(ValidateRequest(catalog, schedule, request));
   if (k < 1) {
@@ -411,166 +246,55 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
   obs::ScopedSpan run_span(obs::kSpanGenerateRanked);
   std::optional<obs::ScopedSpan> construct_span;
   construct_span.emplace(obs::kSpanGraphConstruct);
-  internal::ExplorationEngine engine(catalog, schedule, options,
-                                     request.start.term, end_term);
-  internal::PruningOracle oracle(goal, engine, options, config,
-                                 /*metrics=*/nullptr,
-                                 hooks.shared_availability);
-  using Verdict = internal::PruningOracle::Verdict;
+  internal::ExplorationEngine engine(catalog, schedule, request.options,
+                                     request.start.term, request.end_term);
+  internal::Expander expander(
+      engine, {&goal, &request.config, hooks.shared_availability});
   obs::ExplorationMetrics& metrics = engine.metrics();
-  /// Aggregate wall time spent inside the ranking function (EdgeCost +
-  /// admissible bound), emitted as one "rank/evaluate" span per run.
   obs::StageAccumulator rank_stage;
 
   RankedResult result;
   LearningGraph graph;
-
   NodeId root = ConstructRoot(catalog, schedule, request, graph, metrics);
   construct_span.reset();
 
   {
     obs::ScopedSpan expand_span(obs::kSpanExpandLoop);
-
-    std::priority_queue<FrontierEntry, std::vector<FrontierEntry>,
-                        FrontierCompare>
-        frontier;
-    // Same staged-batch pruning as RunGoal (see there); ranking costs are
-    // computed per kept candidate at flush, in staging order, so sequence
-    // numbers — the frontier tie-break — are assigned exactly as before.
-    internal::CandidateBatch batch;
-    batch.Configure(catalog.size());
-    std::vector<Verdict> verdicts;
-    // Reused scratch sets: pruned candidates cost no heap traffic.
-    DynamicBitset next_completed(catalog.size());
-    DynamicBitset selection_scratch(catalog.size());
-    const DynamicBitset empty_selection(catalog.size());
-    int64_t sequence = 0;
-    const int m = options.max_courses_per_term;
+    RankedFrontier frontier;
+    RankedSink sink{{engine, expander, graph},
+                    frontier,
+                    *request.ranking,
+                    goal,
+                    rank_stage};
     {
       obs::StageSample sample(&rank_stage);
-      frontier.push(
-          {ranking.RemainingCostLowerBound(request.start.completed, goal, m),
-           sequence++, root});
+      frontier.push({request.ranking->RemainingCostLowerBound(
+                         request.start.completed, goal,
+                         request.options.max_courses_per_term),
+                     sink.sequence++, root});
     }
 
-    while (!frontier.empty() && static_cast<int>(result.paths.size()) < k) {
-      Status budget = engine.CheckBudget(graph);
-      if (!budget.ok()) {
-        result.termination = budget;
-        break;
-      }
-      FrontierEntry entry = frontier.top();
+    while (!frontier.empty() && static_cast<int>(result.paths.size()) < k &&
+           sink.CheckBudget()) {
+      const NodeId current = frontier.top().node;
       frontier.pop();
-      NodeId current = entry.node;
-      metrics.nodes_expanded += 1;
-
-      // Arena storage never relocates nodes; references stay valid across
-      // AddChildWithPathCost (no per-expansion snapshot copies). The
-      // best-first frontier revisits arbitrary nodes, which arena stability
-      // also makes safe.
-      const LearningNode& node = graph.node(current);
-      const Term term = node.term;
-      const DynamicBitset& completed = node.completed;
-      const DynamicBitset& node_options = node.options;
-
-      // Popping in cost order makes each goal hit the next-cheapest path.
-      if (goal.IsSatisfied(completed)) {
-        graph.MarkGoal(current);
-        metrics.terminal_paths += 1;
-        metrics.goal_paths += 1;
-        LearningPath path = LearningPath::FromGraph(graph, current);
-        result.paths.push_back(std::move(path));
-        continue;
-      }
-      if (term == end_term) {
-        metrics.terminal_paths += 1;
-        metrics.dead_end_paths += 1;
-        continue;
-      }
-
-      const Term child_term = term.Next();
-      const int left_parent = oracle.LeftAt(completed);
-
-      bool expanded = false;
-      auto flush_batch = [&]() {
-        if (batch.empty()) return;
-        oracle.ClassifyBatch(batch, child_term, left_parent, &verdicts);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (verdicts[i] != Verdict::kKeep) continue;
-          batch.CopyCompletedTo(i, &next_completed);
-          batch.CopySelectionTo(i, &selection_scratch);
-          double edge_cost;
-          double child_cost;
-          double cost_to_go;
-          {
-            obs::StageSample sample(&rank_stage);
-            edge_cost = ranking.EdgeCost(selection_scratch, term);
-            child_cost = ranking.Combine(node.path_cost, edge_cost);
-            cost_to_go =
-                ranking.RemainingCostLowerBound(next_completed, goal, m);
-          }
-          DynamicBitset next_options = ComputeOptions(
-              catalog, schedule, next_completed, child_term, options);
-          NodeId child = graph.AddChildWithPathCost(
-              current, selection_scratch, DynamicBitset(next_completed),
-              std::move(next_options), edge_cost, child_cost);
-          metrics.nodes_created += 1;
-          metrics.edges_created += 1;
-          frontier.push({child_cost + cost_to_go, sequence++, child});
-          expanded = true;
-        }
-        batch.Clear();
-      };
-
-      int min_selection = oracle.MinSelectionSize(left_parent, term);
-      if (min_selection > 1) {
-        int skipped_max =
-            std::min(min_selection - 1, options.max_courses_per_term);
-        oracle.AccountSkippedTimePruned(static_cast<int64_t>(
-            CountSelections(node_options.count(), 1, skipped_max)));
-      }
-
-      if (!node_options.empty() && min_selection <= node_options.count()) {
-        bool completed_enumeration = ForEachSelection(
-            node_options, min_selection, options.max_courses_per_term,
-            [&](const DynamicBitset& selection) {
-              if (!batch.empty() &&
-                  engine.MightExceedNodeBudget(graph, batch.size())) {
-                flush_batch();
-              }
-              if (!engine.CheckBudget(graph).ok()) return false;
-              batch.Push(completed, selection);
-              if (batch.full()) flush_batch();
-              return true;
-            });
-        if (!completed_enumeration) {
-          flush_batch();
-          result.termination = engine.CheckBudget(graph);
-          break;
-        }
-      }
-
-      bool skip_edge =
-          options.allow_voluntary_skip ||
-          (node_options.empty() && engine.FutureCourseExists(completed, term));
-      if (skip_edge) {
-        batch.Push(completed, empty_selection);
-      }
-      flush_batch();
-
-      if (!expanded) {
-        metrics.terminal_paths += 1;
-        metrics.dead_end_paths += 1;
+      const internal::Expansion expansion = ExpandSerial(sink, current);
+      if (expansion == internal::Expansion::kStopped) break;
+      if (expansion == internal::Expansion::kGoal) {
+        // Popping in cost order makes each goal the next-cheapest path.
+        result.paths.push_back(LearningPath::FromGraph(graph, current));
       }
     }
+    result.termination = sink.stop;
+    // Inside expand/loop, like the parallel workers' spans.
+    rank_stage.Emit(obs::kSpanRankEvaluate);
+    expander.EmitStageSpans();
     expand_span.AddInt("nodes_expanded", metrics.nodes_expanded);
   }
 
-  rank_stage.Emit(obs::kSpanRankEvaluate);
-  oracle.EmitStageSpans();
   if (CN_DCHECK_IS_ON()) {
     graph.CheckInvariants();
-    oracle.CheckInvariants();
+    expander.oracle()->CheckInvariants();
   }
   result.stats = engine.StatsView();
   run_span.AddInt("nodes_created", result.stats.nodes_created);
@@ -609,22 +333,16 @@ Result<ExplorationResponse> Executor::Run(const ExplorationPlan& plan,
   const ExplorationRequest& request = plan.request;
   ExplorationResponse response;
   switch (request.type) {
-    case TaskType::kDeadlineDriven: {
-      COURSENAV_ASSIGN_OR_RETURN(
-          GenerationResult generation,
-          RunDeadline(plan, *catalog_, *schedule_));
-      response.generation = std::move(generation);
-      return response;
-    }
+    case TaskType::kDeadlineDriven:
     case TaskType::kGoalDriven: {
       // Re-checked here so hand-built plans fail the same way lowered ones
       // do.
-      if (request.goal == nullptr) {
+      if (request.type == TaskType::kGoalDriven && request.goal == nullptr) {
         return Status::InvalidArgument(
             "goal-driven exploration requires a goal");
       }
       COURSENAV_ASSIGN_OR_RETURN(GenerationResult generation,
-                                 RunGoal(plan, *catalog_, *schedule_, hooks));
+                                 RunGraph(plan, *catalog_, *schedule_, hooks));
       response.generation = std::move(generation);
       return response;
     }

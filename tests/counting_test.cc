@@ -9,6 +9,7 @@
 #include "core/goal_generator.h"
 #include "data/brandeis_cs.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "requirements/expr_goal.h"
 #include "tests/test_util.h"
 
@@ -150,6 +151,30 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BrandeisCount>& param_info) {
       return std::string(param_info.param.name);
     });
+
+TEST(CountingTest, PrunedTimeCountsEquationOneSkips) {
+  // Equation 1's minimum selection skips enumerating the selections time
+  // pruning would reject one by one; the count records them as time-pruned
+  // either way, as the materialized runs do.
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  auto pruned_time = [&](bool enforce_min_selection) {
+    const obs::Counter* counter =
+        obs::GlobalMetrics().GetCounter(obs::kMetricPrunedTime);
+    const int64_t before = counter->Value();
+    GoalDrivenConfig config;
+    config.enforce_min_selection = enforce_min_selection;
+    EnrollmentStatus start{data::StartTermForSpan(5),
+                           dataset.catalog.NewCourseSet()};
+    auto counted = CountGoalDrivenPaths(
+        dataset.catalog, dataset.schedule, start, data::EvaluationEndTerm(),
+        *dataset.cs_major, ExplorationOptions{}, config);
+    EXPECT_TRUE(counted.ok()) << counted.status().ToString();
+    return counter->Value() - before;
+  };
+  const int64_t skipped = pruned_time(true);
+  EXPECT_GT(skipped, 0);
+  EXPECT_EQ(skipped, pruned_time(false));
+}
 
 TEST(CountingTest, StatusCapIsExact) {
   // A count fails exactly when its distinct statuses exceed max_nodes.

@@ -14,6 +14,8 @@
 
 #include "core/deadline_generator.h"
 #include "core/goal_generator.h"
+#include "core/ranked_generator.h"
+#include "core/ranking.h"
 #include "data/brandeis_cs.h"
 #include "exec/work_queue.h"
 #include "exec/worker_pool.h"
@@ -158,6 +160,33 @@ int64_t IntAttribute(const obs::SpanRecord& span, std::string_view key) {
   return -1;
 }
 
+/// Checks that no span's children outlast it, and that each stage span
+/// (prune/*, rank/evaluate) is a child of expand/loop.
+void ExpectStageSpansNest(const std::vector<obs::SpanRecord>& spans) {
+  std::map<int64_t, const obs::SpanRecord*> by_id;
+  std::map<int64_t, int64_t> children_us;  // parent span id -> summed
+  for (const obs::SpanRecord& span : spans) {
+    by_id[span.span_id] = &span;
+    children_us[span.parent_id] += span.duration_us;
+  }
+  int stage_spans = 0;
+  for (const obs::SpanRecord& span : spans) {
+    EXPECT_LE(children_us[span.span_id], span.duration_us)
+        << span.name << " has more time in its children than its own";
+    if (span.name != obs::kSpanPruneTime &&
+        span.name != obs::kSpanPruneAvailability &&
+        span.name != obs::kSpanRankEvaluate) {
+      continue;
+    }
+    ++stage_spans;
+    auto parent = by_id.find(span.parent_id);
+    ASSERT_NE(parent, by_id.end()) << span.name << " has no parent span";
+    EXPECT_EQ(parent->second->name, obs::kSpanExpandLoop)
+        << span.name << " is not a child of expand/loop";
+  }
+  EXPECT_GE(stage_spans, 2);
+}
+
 // Workers prune concurrently, so their summed pruning time is CPU time and
 // can exceed the run's wall-clock expand/loop. The run reports one span per
 // strategy at the workers' mean time instead, which nests.
@@ -184,10 +213,8 @@ TEST(ParallelTraceTest, PruningSpansAreOnePerStrategyAndNest) {
 
   const std::vector<obs::SpanRecord> spans = tracer.Spans();
   std::map<std::string, int> count_by_name;
-  std::map<int64_t, int64_t> children_us;  // parent span id -> summed
   for (const obs::SpanRecord& span : spans) {
     ++count_by_name[span.name];
-    children_us[span.parent_id] += span.duration_us;
     if (span.name == obs::kSpanPruneTime) {
       EXPECT_EQ(IntAttribute(span, "workers"), 4);
       EXPECT_EQ(IntAttribute(span, "pruned"), stats.pruned_time);
@@ -201,9 +228,41 @@ TEST(ParallelTraceTest, PruningSpansAreOnePerStrategyAndNest) {
   EXPECT_EQ(count_by_name[std::string(obs::kSpanPruneTime)], 1);
   EXPECT_EQ(count_by_name[std::string(obs::kSpanPruneAvailability)], 1);
   EXPECT_EQ(count_by_name[std::string(obs::kSpanExpandLoop)], 1);
-  for (const obs::SpanRecord& span : spans) {
-    EXPECT_LE(children_us[span.span_id], span.duration_us)
-        << span.name << " has more time in its children than its own";
+  ExpectStageSpansNest(spans);
+}
+
+// Serial runs share the kernel and the span layout: their stage spans sit
+// inside expand/loop too, so no time is counted under two parents.
+TEST(ParallelTraceTest, SerialStageSpansNestUnderExpandLoop) {
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  Term end = data::EvaluationEndTerm();
+  ExplorationOptions options;
+  {
+    obs::Tracer tracer;
+    obs::ScopedTracer install(&tracer);
+    EnrollmentStatus start{data::StartTermForSpan(4),
+                           dataset.catalog.NewCourseSet()};
+    auto result = GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
+                                          start, end, *dataset.cs_major,
+                                          options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GT(result->stats.TotalPruned(), 0);
+    SCOPED_TRACE("serial goal-driven run");
+    ExpectStageSpansNest(tracer.Spans());
+  }
+  {
+    obs::Tracer tracer;
+    obs::ScopedTracer install(&tracer);
+    EnrollmentStatus start{data::StartTermForSpan(5),
+                           dataset.catalog.NewCourseSet()};
+    TimeRanking ranking;
+    auto result = GenerateRankedPaths(dataset.catalog, dataset.schedule,
+                                      start, end, *dataset.cs_major, ranking,
+                                      10, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->paths.size(), 10u);
+    SCOPED_TRACE("ranked run");
+    ExpectStageSpansNest(tracer.Spans());
   }
 }
 
