@@ -159,8 +159,10 @@ class CountingRun {
     bool NearNodeBudget(size_t) const { return false; }
     bool CheckBudget() const { return true; }
     bool Add(const internal::CandidateBatch& batch, size_t row) {
-      stop = run.AddChild(batch.completed_row(row), paths);
-      return stop.ok();
+      Status status = run.AddChild(batch.completed_row(row), paths);
+      if (status.ok()) return true;
+      stop = std::move(status);
+      return false;
     }
   };
 

@@ -213,18 +213,22 @@ class Expander {
   CandidateBatch batch_;
   std::vector<PruningOracle::Verdict> verdicts_;
   const DynamicBitset empty_selection_;
-  DynamicBitset derived_options_;
+  DynamicBitset derived_options_;  // Y_i when the driver keeps none
   DynamicBitset child_completed_;
   DynamicBitset child_selection_;
-  // The status being expanded.
+  // Of the status being expanded: its children's semester, Equation 1's
+  // left_i, and whether any child was kept.
   Term child_term_;
   int left_parent_ = -1;
   bool kept_ = false;
 };
 
-/// The graph drivers' leaf accounting for a non-stopped expansion.
+/// The graph drivers' leaf accounting: goal, missed and dead-end statuses
+/// are leaves; expanded and stopped ones are not.
 inline void CountLeaf(Expansion expansion, obs::ExplorationMetrics& metrics) {
-  if (expansion == Expansion::kExpanded) return;
+  if (expansion == Expansion::kExpanded || expansion == Expansion::kStopped) {
+    return;
+  }
   metrics.terminal_paths += 1;
   if (expansion == Expansion::kGoal) {
     metrics.goal_paths += 1;

@@ -180,7 +180,7 @@ void ExpandNode(WorkerCtx& ctx, int worker_index, const FrontierItem& item,
   const Expansion expansion = ctx.expander.Expand(
       node->term, node->completed, &node->options, sink);
   if (expansion == Expansion::kGoal) node->is_goal = true;
-  if (expansion != Expansion::kStopped) CountLeaf(expansion, ctx.metrics);
+  CountLeaf(expansion, ctx.metrics);
 }
 
 void WorkerBody(int worker_index, WorkerCtx& ctx, const ExpandEnv& env) {

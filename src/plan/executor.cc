@@ -56,7 +56,7 @@ struct SerialSink {
   LearningGraph& graph;
   NodeId parent = kInvalidNodeId;
   LearningNode* node = nullptr;
-  /// The last budget verdict: OK until a check stops the run.
+  /// The verdict that stopped the run (OK while it runs).
   Status stop = Status::OK();
 
   bool NearNodeBudget(size_t staged) const {
@@ -64,8 +64,10 @@ struct SerialSink {
                                     graph.num_nodes(), staged);
   }
   bool CheckBudget() {
-    stop = engine.CheckBudget(graph);
-    return stop.ok();
+    Status status = engine.CheckBudget(graph);
+    if (status.ok()) return true;
+    stop = std::move(status);
+    return false;
   }
   /// Materializes the unpacked child, costed by the caller, under `node`.
   NodeId AddChild(double edge_cost, double path_cost) {
@@ -88,9 +90,7 @@ internal::Expansion ExpandSerial(Sink& sink, NodeId current) {
   const internal::Expansion expansion = sink.expander.Expand(
       sink.node->term, sink.node->completed, &sink.node->options, sink);
   if (expansion == internal::Expansion::kGoal) sink.graph.MarkGoal(current);
-  if (expansion != internal::Expansion::kStopped) {
-    internal::CountLeaf(expansion, metrics);
-  }
+  internal::CountLeaf(expansion, metrics);
   return expansion;
 }
 
