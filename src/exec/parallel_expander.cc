@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "exec/work_queue.h"
 #include "exec/worker_pool.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/cancellation.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -41,17 +43,39 @@ struct FrontierItem {
 /// verdict. The first worker to observe any non-OK condition trips the
 /// sentinel; everyone else observes `stopped()` at the next check and
 /// unwinds, leaving a well-formed partial graph.
+///
+/// Workers publish their tallies at their budget checks, not per child.
+/// Between two checks a worker adds at most one candidate batch of
+/// children, so the tallies lag the graph by at most `margin_nodes_`
+/// (workers × batch capacity) nodes. Within that margin of a limit each
+/// child is published as it is added, and within it of the node budget
+/// each staged row is handed over before the next check, so a truncated
+/// run overshoots its node budget by at most one batch per worker.
 class BudgetSentinel {
  public:
-  BudgetSentinel(const ExplorationLimits& limits, int64_t initial_nodes,
-                 size_t initial_memory)
+  BudgetSentinel(const ExplorationLimits& limits, int num_workers,
+                 int64_t initial_nodes, size_t initial_memory)
       : limits_(limits),
+        margin_nodes_(int64_t{num_workers} *
+                      static_cast<int64_t>(CandidateBatch::kDefaultCapacity)),
         nodes_(initial_nodes),
         memory_(static_cast<int64_t>(initial_memory)) {}
 
-  void AddNodes(int64_t n) { nodes_.fetch_add(n, std::memory_order_relaxed); }
-  void AddMemory(int64_t bytes) {
-    memory_.fetch_add(bytes, std::memory_order_relaxed);
+  void Add(int64_t nodes, size_t bytes) {
+    nodes_.fetch_add(nodes, std::memory_order_relaxed);
+    memory_.fetch_add(static_cast<int64_t>(bytes), std::memory_order_relaxed);
+  }
+
+  /// True when the unpublished tallies could reach the node budget, or
+  /// the memory budget at `node_bytes` per node.
+  bool NearLimits(size_t node_bytes) const {
+    return (limits_.max_nodes > 0 &&
+            nodes_.load(std::memory_order_relaxed) + margin_nodes_ >=
+                limits_.max_nodes) ||
+           (limits_.max_memory_bytes > 0 &&
+            memory_.load(std::memory_order_relaxed) +
+                    margin_nodes_ * static_cast<int64_t>(node_bytes) >=
+                static_cast<int64_t>(limits_.max_memory_bytes));
   }
 
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
@@ -70,9 +94,14 @@ class BudgetSentinel {
     return status_;
   }
 
+  /// Could `staged` more nodes reach the node budget, counting the nodes
+  /// and staged rows other workers may not have published yet? Within
+  /// that margin a worker hands over each row as it stages it, so its
+  /// exact check sees every node published so far.
   bool NearNodeBudget(size_t staged) const {
     return internal::NearNodeBudget(
-        limits_, nodes_.load(std::memory_order_relaxed), staged);
+        limits_, nodes_.load(std::memory_order_relaxed) + margin_nodes_,
+        staged);
   }
 
   /// The global node/byte limits, after the calling worker's own shard
@@ -84,10 +113,14 @@ class BudgetSentinel {
   }
 
  private:
+  /// Every worker polls `stopped_`; the tallies are written by all of them.
+  static constexpr size_t kCacheLineBytes = 64;
+
   const ExplorationLimits& limits_;
+  const int64_t margin_nodes_;
   std::atomic<int64_t> nodes_;
   std::atomic<int64_t> memory_;
-  std::atomic<bool> stopped_{false};
+  alignas(kCacheLineBytes) std::atomic<bool> stopped_{false};
   mutable Mutex mu_;
   /// Written once (first trip), read at unwind.
   Status status_ CN_GUARDED_BY(mu_);
@@ -108,7 +141,11 @@ struct WorkerCtx {
   obs::ExplorationMetrics metrics;
   DeadlineBudget deadline;
   Expander expander;
-  size_t last_memory = 0;
+  /// The expansion's children, pushed together once it ends.
+  std::vector<FrontierItem> children;
+  /// Nodes created, and the shard's bytes, not yet added to the sentinel.
+  int64_t unpublished_nodes = 0;
+  size_t published_memory = 0;
 };
 
 /// Everything the workers share, read-only or internally synchronized.
@@ -121,11 +158,10 @@ struct ExpandEnv {
 };
 
 /// A worker's sink: its budget check runs against the global sentinel, and
-/// a kept child becomes a node in the worker's shard, pushed on its deque.
+/// a kept child becomes a node in the worker's shard, queued for the deque.
 struct WorkerSink {
   WorkerCtx& ctx;
   const ExpandEnv& env;
-  int worker_index;
   FrontierItem parent;
 
   bool NearNodeBudget(size_t staged) const {
@@ -146,41 +182,62 @@ struct WorkerSink {
   Status Verdict() {
     ++ctx.metrics.budget_checks;
     if (env.sentinel->stopped()) return env.sentinel->status();
+    PublishTallies();
     COURSENAV_RETURN_IF_ERROR(env.sentinel->CheckLimits(
         env.graph->ShardAllocationFailed(ctx.shard)));
     return ctx.deadline.Check();
   }
 
+  void PublishTallies() {
+    if (ctx.unpublished_nodes == 0) return;
+    const size_t shard_memory = env.graph->ShardMemoryUsage(ctx.shard);
+    env.sentinel->Add(ctx.unpublished_nodes,
+                      shard_memory - ctx.published_memory);
+    ctx.unpublished_nodes = 0;
+    ctx.published_memory = shard_memory;
+  }
+
   bool Add(const CandidateBatch& batch, size_t row) {
     ctx.expander.UnpackChild(batch, row);
+    const size_t shard_memory = env.graph->ShardMemoryUsage(ctx.shard);
     LearningGraph::CreatedChild child =
         ctx.expander.AddChild(*env.graph, ctx.shard, parent.id, parent.node,
                               /*edge_cost=*/0.0, parent.node->path_cost);
-    env.sentinel->AddNodes(1);
-    const size_t shard_memory = env.graph->ShardMemoryUsage(ctx.shard);
-    env.sentinel->AddMemory(
-        static_cast<int64_t>(shard_memory - ctx.last_memory));
-    ctx.last_memory = shard_memory;
-    env.pending->fetch_add(1, std::memory_order_relaxed);
-    env.queues->Push(worker_index, FrontierItem{child.id, child.node});
+    ctx.children.push_back(FrontierItem{child.id, child.node});
+    ++ctx.unpublished_nodes;
+    if (env.sentinel->NearLimits(env.graph->ShardMemoryUsage(ctx.shard) -
+                                 shard_memory)) {
+      PublishTallies();
+    }
     return true;
   }
 };
 
-/// Expands one frontier node through the shared kernel; a failed budget
-/// check leaves it unexpanded.
+/// Expands one frontier node through the shared kernel (a failed budget
+/// check leaves it unexpanded), then queues its children with one lock.
+/// The node's own `pending` count passes to its children.
 void ExpandNode(WorkerCtx& ctx, int worker_index, const FrontierItem& item,
                 const ExpandEnv& env) {
-  WorkerSink sink{ctx, env, worker_index, item};
-  if (!sink.CheckBudget()) return;
-  ctx.metrics.nodes_expanded += 1;
-  // The worker owns the popped node exclusively and the arena never
-  // relocates it, so its sets are read in place.
-  LearningNode* node = item.node;
-  const Expansion expansion = ctx.expander.Expand(
-      node->term, node->completed, &node->options, sink);
-  if (expansion == Expansion::kGoal) node->is_goal = true;
-  CountLeaf(expansion, ctx.metrics);
+  WorkerSink sink{ctx, env, item};
+  if (sink.CheckBudget()) {
+    ctx.metrics.nodes_expanded += 1;
+    // The worker owns the popped node exclusively and the arena never
+    // relocates it, so its sets are read in place.
+    LearningNode* node = item.node;
+    const Expansion expansion = ctx.expander.Expand(
+        node->term, node->completed, &node->options, sink);
+    if (expansion == Expansion::kGoal) node->is_goal = true;
+    CountLeaf(expansion, ctx.metrics);
+  }
+  // Counted before they become visible, so `pending` cannot read 0 while
+  // they wait to be pushed.
+  const int64_t children = static_cast<int64_t>(ctx.children.size());
+  if (children != 1) {
+    env.pending->fetch_add(children - 1, std::memory_order_acq_rel);
+  }
+  if (children == 0) return;
+  env.queues->Push(worker_index, std::span<FrontierItem>(ctx.children));
+  ctx.children.clear();
 }
 
 void WorkerBody(int worker_index, WorkerCtx& ctx, const ExpandEnv& env) {
@@ -190,7 +247,6 @@ void WorkerBody(int worker_index, WorkerCtx& ctx, const ExpandEnv& env) {
     if (env.queues->TryPopLocal(worker_index, &item) ||
         env.queues->TrySteal(worker_index, &item)) {
       ExpandNode(ctx, worker_index, item, env);
-      env.pending->fetch_sub(1, std::memory_order_acq_rel);
       continue;
     }
     if (env.pending->load(std::memory_order_acquire) == 0) return;
@@ -205,8 +261,8 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
                               LearningGraph* graph) {
   num_workers = EffectiveWorkers(num_workers);
 
-  BudgetSentinel sentinel(engine.options().limits, graph->num_nodes(),
-                          graph->MemoryUsage());
+  BudgetSentinel sentinel(engine.options().limits, num_workers,
+                          graph->num_nodes(), graph->MemoryUsage());
   exec::WorkStealingQueues<FrontierItem> queues(num_workers);
   std::atomic<int64_t> pending{1};  // the root
   const ExpandEnv env{graph, &sentinel, &queues, &pending};
@@ -238,7 +294,8 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
     // single-worker, and clock reads are const).
     ctxs.push_back(std::make_unique<WorkerCtx>(w, engine, worker_spec,
                                                per_worker_deadline));
-    ctxs[static_cast<size_t>(w)]->last_memory = graph->ShardMemoryUsage(w);
+    ctxs[static_cast<size_t>(w)]->published_memory =
+        graph->ShardMemoryUsage(w);
   }
 
   queues.Push(0, FrontierItem{graph->root(), graph->stable_node_ptr(0)});
@@ -261,7 +318,13 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
   PruningOracle::EmitStageSpans(oracles);
 
   Status termination = sentinel.status();
-  graph->Canonicalize();
+  {
+    // Opened after the stage spans, which stay children of expand/loop.
+    obs::ScopedSpan canonicalize_span(obs::kSpanGraphCanonicalize);
+    canonicalize_span.AddInt("nodes", graph->num_nodes());
+    canonicalize_span.AddInt("shards", graph->num_shards());
+    graph->Canonicalize();
+  }
   return termination;
 }
 

@@ -1,8 +1,11 @@
 #ifndef COURSENAV_EXEC_WORK_QUEUE_H_
 #define COURSENAV_EXEC_WORK_QUEUE_H_
 
+#include <atomic>
+#include <cstddef>
 #include <deque>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -27,12 +30,19 @@ namespace coursenav::exec {
 /// it, then refill the thief's own deque — so no call path ever holds two
 /// deque locks at once (no lock-order cycles between mutual thieves).
 ///
-/// Each deque is guarded by its own mutex. A lock per push/pop is deliberate:
-/// expansion tasks are whole-node expansions (microseconds each, dozens of
-/// bitset operations), so a contended-uncontended mutex pair per task is
-/// noise, and the mutex gives the ownership-transfer happens-before edge the
-/// graph's thread-safety contract relies on — a popped item's node contents
-/// are fully visible to the popping worker without any per-field atomics.
+/// Each deque is guarded by its own mutex, and a worker takes it once per
+/// node expansion, not once per child: an expansion's children are pushed
+/// together (`Push` of a span), and a popped or stolen node is a whole
+/// expansion. That matters because a node is cheap: a deadline-driven one
+/// costs about 0.3–0.5 µs (Table 2's 4-semester cell, 187,876 nodes in
+/// 53–99 ms serial), the price of a lock round trip or two, so a lock per
+/// child would be a large share of the work. The mutex also gives the
+/// ownership-transfer happens-before edge the graph's thread-safety contract
+/// relies on: a popped item's node contents are fully visible to the
+/// popping worker without any per-field atomics. Each deque also publishes
+/// its length in a relaxed atomic, so an idle worker skips empty deques
+/// without taking their locks; a stale read only delays a steal to the
+/// next visit.
 template <typename T>
 class WorkStealingQueues {
  public:
@@ -45,20 +55,26 @@ class WorkStealingQueues {
 
   int num_workers() const { return static_cast<int>(deques_.size()); }
 
-  /// Enqueues `item` at the back of `worker`'s deque.
-  void Push(int worker, T item) {
+  /// Moves `items`, in order, to the back of `worker`'s deque under one
+  /// lock, so the last of them is the next local pop.
+  void Push(int worker, std::span<T> items) {
     Deque& deque = *deques_[static_cast<size_t>(worker)];
     MutexLock lock(deque.mu);
-    deque.items.push_back(std::move(item));
+    for (T& item : items) deque.items.push_back(std::move(item));
+    deque.Publish();
   }
+  void Push(int worker, T item) { Push(worker, std::span<T>(&item, 1)); }
 
   /// Pops the most recently pushed item of `worker`'s own deque (LIFO).
   bool TryPopLocal(int worker, T* out) {
     Deque& deque = *deques_[static_cast<size_t>(worker)];
+    // Only this worker adds to its own deque, so a zero it reads is exact.
+    if (deque.size.load(std::memory_order_relaxed) == 0) return false;
     MutexLock lock(deque.mu);
     if (deque.items.empty()) return false;
     *out = std::move(deque.items.back());
     deque.items.pop_back();
+    deque.Publish();
     return true;
   }
 
@@ -73,6 +89,7 @@ class WorkStealingQueues {
       std::vector<T> loot;
       {
         Deque& deque = *deques_[static_cast<size_t>(victim)];
+        if (deque.size.load(std::memory_order_relaxed) == 0) continue;
         MutexLock lock(deque.mu);
         const size_t available = deque.items.size();
         if (available == 0) continue;
@@ -82,6 +99,7 @@ class WorkStealingQueues {
           loot.push_back(std::move(deque.items.front()));
           deque.items.pop_front();
         }
+        deque.Publish();
       }
       // Victim lock released; now refill our own deque, preserving the
       // shallowest-at-front order so later thieves still grab the largest
@@ -89,11 +107,7 @@ class WorkStealingQueues {
       // immediate expansion.
       *out = std::move(loot.front());
       if (loot.size() > 1) {
-        Deque& own = *deques_[static_cast<size_t>(thief)];
-        MutexLock lock(own.mu);
-        for (size_t i = 1; i < loot.size(); ++i) {
-          own.items.push_back(std::move(loot[i]));
-        }
+        Push(thief, std::span<T>(loot).subspan(1));
       }
       return true;
     }
@@ -102,8 +116,15 @@ class WorkStealingQueues {
 
  private:
   struct Deque {
+    /// Mirrors `items.size()` after every change, for lock-free emptiness
+    /// reads.
+    void Publish() CN_REQUIRES(mu) {
+      size.store(items.size(), std::memory_order_relaxed);
+    }
+
     Mutex mu;
     std::deque<T> items CN_GUARDED_BY(mu);
+    std::atomic<size_t> size{0};
   };
 
   /// unique_ptr: deques hold a mutex (immovable) and need stable addresses.

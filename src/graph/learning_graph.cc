@@ -1,6 +1,7 @@
 // coursenav:deterministic — canonical numbering replays serial LIFO order.
 #include "graph/learning_graph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -224,48 +225,70 @@ void LearningGraph::Canonicalize() {
     shards_.resize(1);
     return;
   }
+  CN_CHECK_LE(num_nodes(), int64_t{kLocalMask} + 1)
+      << "a canonical graph must fit one shard's id space";
 
-  LearningGraph out;
+  using Arena = ChunkedVector<LearningNode>;
+  Shard canonical;
+  // Nodes each source chunk still holds. A chunk whose last node has moved
+  // becomes the canonical arena's next chunk, so the merge holds one graph
+  // plus the chunks not yet drained, never two graphs.
+  std::vector<std::vector<int32_t>> undrained(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = shards_[s];
+    canonical.memory_bytes += shard.memory_bytes;
+    canonical.allocation_failed |= shard.allocation_failed;
+    for (size_t begin = 0; begin < shard.nodes.size();
+         begin += Arena::kChunkSize) {
+      undrained[s].push_back(static_cast<int32_t>(
+          std::min(Arena::kChunkSize, shard.nodes.size() - begin)));
+    }
+  }
+
+  // Moves node `old_id` to the next canonical id under canonical parent
+  // `parent` and returns its old child range, the only part of it the
+  // replay still needs: a moved node is never read again.
+  auto move_node = [&](NodeId old_id, NodeId parent) {
+    const size_t s = static_cast<size_t>(old_id >> kShardShift);
+    const size_t local = static_cast<size_t>(old_id & kLocalMask);
+    LearningNode& node = shards_[s].nodes[local];
+    const EdgeRange old_children = node.out_edges;
+    node.parent = parent;
+    canonical.nodes.push_back(std::move(node));
+    const size_t chunk = local >> Arena::kChunkBits;
+    if (--undrained[s][chunk] == 0) {
+      canonical.nodes.AdoptChunk(shards_[s].nodes.ReleaseChunk(chunk));
+    }
+    return old_children;
+  };
 
   // Replay the serial generators' numbering: ids are assigned when a node
   // is created, all children of one expansion get consecutive ids in
   // out-edge order, and the worklist is LIFO — the next node expanded is
-  // the most recently created child.
-  std::vector<NodeId> worklist;
-  std::vector<NodeId> remap_stack;  // new ids, parallel to `worklist`
-  // The replay touches every node exactly once; sizing the stacks up front
-  // keeps the merge allocation-free apart from the rebuilt arenas.
-  worklist.reserve(static_cast<size_t>(num_nodes()));
-  remap_stack.reserve(static_cast<size_t>(num_nodes()));
-
-  {
-    LearningNode& old_root = node_mut(0);
-    NodeId new_root = out.AddRoot(old_root.term, std::move(old_root.completed),
-                                  std::move(old_root.options));
-    if (old_root.is_goal) out.MarkGoal(new_root);
-    worklist.push_back(0);
-    remap_stack.push_back(new_root);
-  }
-
+  // the most recently created child. An entry is a moved node's canonical
+  // id and its old child range.
+  struct Moved {
+    NodeId id;
+    EdgeRange old_children;
+  };
+  std::vector<Moved> worklist;
+  worklist.push_back({0, move_node(0, kInvalidNodeId)});
   while (!worklist.empty()) {
-    NodeId old_id = worklist.back();
+    const Moved current = worklist.back();
     worklist.pop_back();
-    NodeId new_id = remap_stack.back();
-    remap_stack.pop_back();
-
-    for (NodeId old_child_id : node(old_id).out_edges) {
-      LearningNode& old_child = node_mut(old_child_id);
-      NodeId new_child = out.AddChildWithPathCost(
-          new_id, std::move(old_child.selection),
-          std::move(old_child.completed), std::move(old_child.options),
-          old_child.edge_cost, old_child.path_cost);
-      if (old_child.is_goal) out.MarkGoal(new_child);
-      worklist.push_back(old_child_id);
-      remap_stack.push_back(new_child);
+    if (current.old_children.empty()) continue;
+    canonical.nodes[static_cast<size_t>(current.id)].out_edges.first_ =
+        static_cast<EdgeId>(canonical.nodes.size());
+    for (NodeId old_child : current.old_children) {
+      const NodeId id = static_cast<NodeId>(canonical.nodes.size());
+      worklist.push_back({id, move_node(old_child, current.id)});
     }
   }
+  canonical.nodes.FreeUnusedChunks();
 
-  *this = std::move(out);
+  std::vector<Shard> merged;
+  merged.push_back(std::move(canonical));
+  shards_ = std::move(merged);
   // The merge rebuilt every id: prove the renumbered graph well-formed
   // before anyone reads it (dcheck builds only; the sweep is O(n)).
   if (CN_DCHECK_IS_ON()) CheckInvariants();

@@ -308,6 +308,12 @@ class LearningGraph {
   /// count; for budget-truncated runs it is a well-formed renumbering of
   /// whatever was materialized. No-op for single-shard graphs (a serial run
   /// is already canonical).
+  ///
+  /// The merge moves each node once, in canonical order, and reuses the
+  /// shards' own chunks: a source chunk whose nodes have all moved becomes
+  /// the merged arena's next chunk. So it holds one graph plus the chunks
+  /// not yet drained, never two copies, and it allocates nothing through
+  /// the `graph/alloc` fault seam (the nodes already exist).
   void Canonicalize();
 
  private:

@@ -273,6 +273,8 @@ inline constexpr std::string_view kSpanGenerateGoal = "generate/goal";
 inline constexpr std::string_view kSpanGenerateRanked = "generate/ranked";
 inline constexpr std::string_view kSpanCountPaths = "count/paths";
 inline constexpr std::string_view kSpanGraphConstruct = "graph/construct";
+inline constexpr std::string_view kSpanGraphCanonicalize =
+    "graph/canonicalize";
 inline constexpr std::string_view kSpanExpandLoop = "expand/loop";
 inline constexpr std::string_view kSpanPruneTime = "prune/time";
 inline constexpr std::string_view kSpanPruneAvailability =

@@ -177,20 +177,23 @@ Result<GenerationResult> RunGraph(const ExplorationPlan& plan,
 
 /// Frontier entry ordered by f = g + h (accumulated cost plus the
 /// ranking's admissible cost-to-go bound), with insertion order as the
-/// deterministic tie-break. With a consistent heuristic, goal statuses
-/// still pop in non-decreasing true cost (f == g at goals), preserving
-/// Lemma 2's exact top-k.
+/// deterministic tie-break: the ranked run's graph has one shard, so node
+/// ids are creation order, and every created node is pushed once. With a
+/// consistent heuristic, goal statuses still pop in non-decreasing true
+/// cost (f == g at goals), preserving Lemma 2's exact top-k.
 struct FrontierEntry {
   double cost;  // f-value
-  int64_t sequence;
   NodeId node;
 };
+// The heap holds an entry per unexpanded node, over a million of them on
+// Figure 4's larger cells.
+static_assert(sizeof(FrontierEntry) == 16);
 
 struct FrontierCompare {
   /// std::priority_queue is a max-heap; invert for a min-heap.
   bool operator()(const FrontierEntry& a, const FrontierEntry& b) const {
     if (a.cost != b.cost) return a.cost > b.cost;
-    return a.sequence > b.sequence;
+    return a.node > b.node;
   }
 };
 
@@ -199,8 +202,7 @@ using RankedFrontier =
                         FrontierCompare>;
 
 /// The best-first frontier's sink: a kept child is costed by the ranking
-/// and becomes a node on the f-ordered heap. Sequence numbers, the heap's
-/// tie-break, follow enumeration order.
+/// and becomes a node on the f-ordered heap.
 struct RankedSink : SerialSink {
   RankedFrontier& frontier;
   const RankingFunction& ranking;
@@ -208,7 +210,6 @@ struct RankedSink : SerialSink {
   /// Aggregate wall time inside the ranking function (EdgeCost + admissible
   /// bound), emitted as one "rank/evaluate" span per run.
   obs::StageAccumulator& rank_stage;
-  int64_t sequence = 0;
 
   bool Add(const internal::CandidateBatch& batch, size_t row) {
     expander.UnpackChild(batch, row);
@@ -224,7 +225,7 @@ struct RankedSink : SerialSink {
           engine.options().max_courses_per_term);
     }
     const NodeId child = AddChild(edge_cost, child_cost);
-    frontier.push({child_cost + cost_to_go, sequence++, child});
+    frontier.push({child_cost + cost_to_go, child});
     return true;
   }
 };
@@ -271,7 +272,7 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
       frontier.push({request.ranking->RemainingCostLowerBound(
                          request.start.completed, goal,
                          request.options.max_courses_per_term),
-                     sink.sequence++, root});
+                     root});
     }
 
     while (!frontier.empty() && static_cast<int>(result.paths.size()) < k &&

@@ -22,7 +22,13 @@ namespace coursenav {
 /// on growth, so `operator[]` is only safe on the thread that appends —
 /// cross-thread readers must use stable element pointers, not indices.
 /// Chunks of `kChunkSize` elements are value-initialized on allocation;
-/// `emplace_back` move-assigns into the next slot.
+/// `push_back` move-assigns into the next slot.
+///
+/// Chunk storage can also change hands: `ReleaseChunk` takes a chunk out of
+/// a vector whose elements in it are spent, and `AdoptChunk` appends such
+/// storage to another vector as room for its next `kChunkSize` elements.
+/// The learning graph's merge moves nodes between arenas this way without
+/// holding both at once.
 template <typename T, size_t ChunkBits = 10>
 class ChunkedVector {
  public:
@@ -57,6 +63,25 @@ class ChunkedVector {
     slot = std::move(value);
     ++size_;
     return slot;
+  }
+
+  /// Takes chunk `chunk`'s storage out of this vector, leaving the chunk
+  /// empty: its elements must never be read again. The slots keep whatever
+  /// the elements were left holding (typically moved-from values).
+  std::unique_ptr<T[]> ReleaseChunk(size_t chunk) {
+    return std::move(chunks_[chunk]);
+  }
+
+  /// Appends `chunk` (storage of `kChunkSize` elements) as room for
+  /// elements not yet pushed: `push_back` fills adopted chunks, in adoption
+  /// order, before it allocates. Its slots are move-assigned over.
+  void AdoptChunk(std::unique_ptr<T[]> chunk) {
+    chunks_.push_back(std::move(chunk));
+  }
+
+  /// Frees the adopted or allocated chunks no element has reached yet.
+  void FreeUnusedChunks() {
+    chunks_.resize((size_ + kChunkMask) >> kChunkBits);
   }
 
   /// Heap bytes held by the chunk storage itself (not by the elements'

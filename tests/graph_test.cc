@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "catalog/catalog.h"
 #include "graph/export.h"
 #include "graph/path.h"
+#include "tests/test_util.h"
+#include "util/chunked_vector.h"
+#include "util/random.h"
 
 namespace coursenav {
 namespace {
@@ -155,6 +164,109 @@ TEST_F(LearningGraphTest, PathJsonExport) {
   EXPECT_EQ(doc.Get("steps")->array().size(), 1u);
   JsonValue multi = LearningPathsToJson({path, path}, catalog_);
   EXPECT_EQ(multi.array().size(), 2u);
+}
+
+TEST(ChunkedVectorTest, PushFillsAdoptedChunksBeforeAllocating) {
+  using Vector = ChunkedVector<int, 2>;  // four elements per chunk
+  Vector source;
+  for (int i = 0; i < 6; ++i) source.push_back(i);
+  std::unique_ptr<int[]> storage = source.ReleaseChunk(0);
+  const int* adopted = storage.get();
+
+  Vector target;
+  target.AdoptChunk(std::move(storage));
+  target.push_back(10);
+  EXPECT_EQ(&target[0], adopted);
+  EXPECT_EQ(source[4], 4);  // the source's other chunks stay readable
+
+  target.AdoptChunk(source.ReleaseChunk(1));
+  target.FreeUnusedChunks();  // one element: the second chunk is unused
+  for (int i = 1; i < 5; ++i) target.push_back(10 + i);
+  EXPECT_EQ(target.size(), 5u);
+  EXPECT_EQ(target[3], 13);
+  EXPECT_EQ(target[4], 14);
+}
+
+/// The serial LIFO numbering, replayed by copying into a fresh graph: what
+/// `Canonicalize` must produce from `graph` without the copy.
+LearningGraph ReferenceReplay(const LearningGraph& graph) {
+  LearningGraph out;
+  const LearningNode& root = graph.node(graph.root());
+  out.AddRoot(root.term, root.completed, root.options);
+  if (root.is_goal) out.MarkGoal(0);
+  std::vector<std::pair<NodeId, NodeId>> worklist{{graph.root(), 0}};
+  while (!worklist.empty()) {
+    const auto [old_id, new_id] = worklist.back();
+    worklist.pop_back();
+    for (NodeId old_child : graph.node(old_id).out_edges) {
+      const LearningNode& child = graph.node(old_child);
+      const NodeId id = out.AddChildWithPathCost(
+          new_id, child.selection, child.completed, child.options,
+          child.edge_cost, child.path_cost);
+      if (child.is_goal) out.MarkGoal(id);
+      worklist.emplace_back(old_child, id);
+    }
+  }
+  return out;
+}
+
+// Four shards as four workers would leave them: sizes that end in partial
+// chunks, one shard empty, siblings spread over shards, and frontier
+// leaves never expanded. The in-place merge must renumber it exactly as
+// the copying replay does.
+TEST_F(LearningGraphTest, CanonicalizeMatchesReferenceReplay) {
+  constexpr std::array<int, 4> kShardSizes = {1500, 0, 700, 2100};
+  LearningGraph graph;
+  graph.ConfigureShards(static_cast<int>(kShardSizes.size()));
+  graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0, 1, 2}));
+
+  struct Frontier {
+    NodeId id;
+    LearningNode* node;
+  };
+  std::vector<Frontier> frontier{{0, graph.stable_node_ptr(0)}};
+  std::array<int, 4> left = kShardSizes;
+  --left[0];  // the root
+  Random random(19);
+  for (;;) {
+    std::vector<int> open;
+    for (int s = 0; s < static_cast<int>(left.size()); ++s) {
+      if (left[static_cast<size_t>(s)] > 0) open.push_back(s);
+    }
+    if (open.empty()) break;
+    // Expand a random frontier node into up to five children in a random
+    // shard, as whichever worker popped or stole it would.
+    const int shard = open[random.Uniform(open.size())];
+    const size_t pick = random.Uniform(frontier.size());
+    const Frontier parent = frontier[pick];
+    frontier[pick] = frontier.back();
+    frontier.pop_back();
+    const int children =
+        std::min(left[static_cast<size_t>(shard)], random.UniformInt(1, 5));
+    for (int c = 0; c < children; ++c) {
+      DynamicBitset selection = Bits({});
+      if (c > 0) selection.set((c - 1) % 3);
+      DynamicBitset completed = parent.node->completed | selection;
+      const double edge_cost = c + 0.5;
+      LearningGraph::CreatedChild child = graph.AddChildTo(
+          shard, parent.id, parent.node, std::move(selection),
+          std::move(completed), Bits({0, 1, 2}), edge_cost,
+          parent.node->path_cost + edge_cost);
+      if (random.Bernoulli(0.1)) child.node->is_goal = true;
+      frontier.push_back({child.id, child.node});
+    }
+    left[static_cast<size_t>(shard)] -= children;
+  }
+  ASSERT_EQ(graph.num_nodes(), 4300);
+  ASSERT_GT(frontier.size(), 1000u);  // unexpanded leaves remain
+  graph.CheckInvariants();
+
+  const LearningGraph expected = ReferenceReplay(graph);
+  graph.Canonicalize();
+  EXPECT_EQ(graph.num_shards(), 1);
+  EXPECT_EQ(testing_util::GraphDifference(expected, graph), "");
+  EXPECT_EQ(graph.MemoryUsage(), expected.MemoryUsage());
+  graph.CheckInvariants();
 }
 
 }  // namespace

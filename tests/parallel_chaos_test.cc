@@ -92,6 +92,32 @@ TEST(ParallelChaosTest, AllocationFaultsStopAllWorkers) {
   EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
 }
 
+// The merge after a parallel run moves nodes that already exist, so it
+// draws no `graph/alloc` decisions: a complete run draws one per child it
+// created, as the serial run does, and no fault can land on a graph whose
+// termination was already decided.
+TEST(ParallelChaosTest, CanonicalizeDrawsNoAllocationFaults) {
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  FaultConfig config;
+  config.seed = 19;
+  config.site_probability[std::string(kFaultSiteGraphAlloc)] = 1e-12;
+  ScopedFaultInjection scope(config);
+
+  ExplorationOptions options;
+  options.num_threads = 4;
+  EnrollmentStatus start{data::StartTermForSpan(4),
+                         dataset.catalog.NewCourseSet()};
+  auto result = GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
+                                        start, data::EvaluationEndTerm(),
+                                        *dataset.cs_major, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->termination.ok()) << result->termination.ToString();
+  EXPECT_EQ(scope.injector().fired(kFaultSiteGraphAlloc), 0);
+  EXPECT_EQ(scope.injector().decisions(kFaultSiteGraphAlloc),
+            result->stats.nodes_created - 1);
+  EXPECT_FALSE(result->graph.allocation_failed());
+}
+
 // Cancellation raced from another thread at staggered delays: the run must
 // stop within one expansion per worker and return a cancelled (or, when
 // the flag landed too late, complete) result with a coherent graph.

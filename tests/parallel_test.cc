@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/deadline_generator.h"
 #include "core/goal_generator.h"
+#include "core/pruning.h"
 #include "core/ranked_generator.h"
 #include "core/ranking.h"
 #include "data/brandeis_cs.h"
@@ -151,6 +154,43 @@ TEST(ParallelBudgetTest, CancellationStopsAllWorkersCleanly) {
   EXPECT_EQ(testing_util::StatsErrors(result->graph, result->stats), "");
 }
 
+// Workers publish their node tallies at budget checks and, near the budget,
+// per child, so a truncated run overshoots by at most one candidate batch
+// per worker.
+TEST(ParallelBudgetTest, NodeBudgetOvershootIsAtMostOneBatchPerWorker) {
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  const Term end = data::EvaluationEndTerm();
+  constexpr int64_t kWorkers = 4;
+  constexpr int64_t kSlack =
+      kWorkers * internal::CandidateBatch::kDefaultCapacity;
+  for (const bool goal_driven : {true, false}) {
+    for (const int64_t budget : {100, 2000, 20000}) {
+      SCOPED_TRACE((goal_driven ? "goal, budget " : "deadline, budget ") +
+                   std::to_string(budget));
+      for (int run = 0; run < 5; ++run) {
+        ExplorationOptions options;
+        options.num_threads = static_cast<int>(kWorkers);
+        options.limits.max_nodes = budget;
+        EnrollmentStatus start{data::StartTermForSpan(goal_driven ? 5 : 4),
+                               dataset.catalog.NewCourseSet()};
+        auto result =
+            goal_driven
+                ? GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
+                                          start, end, *dataset.cs_major,
+                                          options)
+                : GenerateDeadlineDrivenPaths(dataset.catalog,
+                                              dataset.schedule, start, end,
+                                              options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_TRUE(result->termination.IsResourceExhausted())
+            << result->termination.ToString();
+        EXPECT_GE(result->stats.nodes_created, budget);
+        EXPECT_LE(result->stats.nodes_created, budget + kSlack);
+      }
+    }
+  }
+}
+
 #if COURSENAV_TRACING
 
 int64_t IntAttribute(const obs::SpanRecord& span, std::string_view key) {
@@ -266,6 +306,53 @@ TEST(ParallelTraceTest, SerialStageSpansNestUnderExpandLoop) {
   }
 }
 
+// The shards' merge is its own row in a traced parallel run, inside the
+// expansion it finishes; a serial run has nothing to merge.
+TEST(ParallelTraceTest, CanonicalizeIsOneSpanUnderExpandLoop) {
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  const Term end = data::EvaluationEndTerm();
+  EnrollmentStatus start{data::StartTermForSpan(4),
+                         dataset.catalog.NewCourseSet()};
+  for (const int threads : {0, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    for (const bool goal_driven : {true, false}) {
+      SCOPED_TRACE(goal_driven ? "goal-driven" : "deadline-driven");
+      ExplorationOptions options;
+      options.num_threads = threads;
+      obs::Tracer tracer;
+      int64_t nodes = 0;
+      {
+        obs::ScopedTracer install(&tracer);
+        auto result =
+            goal_driven
+                ? GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
+                                          start, end, *dataset.cs_major,
+                                          options)
+                : GenerateDeadlineDrivenPaths(dataset.catalog,
+                                              dataset.schedule, start, end,
+                                              options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        nodes = result->stats.nodes_created;
+      }
+      const std::vector<obs::SpanRecord> spans = tracer.Spans();
+      std::map<int64_t, std::string> name_by_id;
+      for (const obs::SpanRecord& span : spans) {
+        name_by_id[span.span_id] = span.name;
+      }
+      int merges = 0;
+      for (const obs::SpanRecord& span : spans) {
+        if (span.name != obs::kSpanGraphCanonicalize) continue;
+        ++merges;
+        EXPECT_EQ(name_by_id[span.parent_id], obs::kSpanExpandLoop);
+        EXPECT_EQ(IntAttribute(span, "nodes"), nodes);
+        EXPECT_EQ(IntAttribute(span, "shards"), threads);
+      }
+      EXPECT_EQ(merges, threads == 0 ? 0 : 1);
+      if (goal_driven) ExpectStageSpansNest(spans);
+    }
+  }
+}
+
 #endif  // COURSENAV_TRACING
 
 TEST(WorkStealingQueuesTest, LocalPopIsLifo) {
@@ -328,6 +415,47 @@ TEST(WorkStealingQueuesTest, ConcurrentPushPopStealLosesNothing) {
   const int64_t n = int64_t{kWorkers} * kItemsPerWorker;
   EXPECT_EQ(popped.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+// Workers push batches of new items while everyone pops and steals, the
+// way expansions publish their children.
+TEST(WorkStealingQueuesTest, BatchedPushesWhileStealingPopEachItemOnce) {
+  constexpr int kWorkers = 4;
+  constexpr int kItemsPerWorker = 6000;
+  constexpr int kItems = kWorkers * kItemsPerWorker;
+  exec::WorkStealingQueues<int> queues(kWorkers);
+  exec::WorkerPool pool(kWorkers);
+  std::vector<std::atomic<int>> pops(kItems);
+  std::atomic<int> popped{0};
+
+  pool.Run([&](int worker) {
+    int next = worker * kItemsPerWorker;
+    const int last = next + kItemsPerWorker;
+    std::vector<int> batch;
+    int item = 0;
+    while (popped.load(std::memory_order_acquire) < kItems) {
+      if (next < last) {
+        // Batches of 1..13 items, interleaved with this worker's pops.
+        batch.clear();
+        const int size = std::min(last - next, 1 + next % 13);
+        for (int i = 0; i < size; ++i) batch.push_back(next++);
+        queues.Push(worker, std::span<int>(batch));
+      }
+      if (queues.TryPopLocal(worker, &item) ||
+          queues.TrySteal(worker, &item)) {
+        pops[static_cast<size_t>(item)].fetch_add(1,
+                                                  std::memory_order_relaxed);
+        popped.fetch_add(1, std::memory_order_acq_rel);
+      }
+    }
+  });
+
+  int wrong = 0;
+  for (const std::atomic<int>& count : pops) {
+    if (count.load() != 1) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(popped.load(), kItems);
 }
 
 TEST(WorkerPoolTest, RunsBodyOnEveryWorkerEachRound) {
