@@ -145,6 +145,15 @@ const GoldenRun kGoldenRuns[] = {
     {"goal-4sem-non-monotone", 0x3056f5149b2ba881ull,
      "{\"dead_end_paths\":1331,\"edges_created\":28674,\"goal_paths\":24312,\"nodes_created\":28675,\"nodes_expanded\":28675,\"pruned_availability\":0,\"pruned_time\":50905,\"pruned_total\":50905,\"runtime_seconds\":0,\"terminal_paths\":25643}",
      "OK"},
+    {"deadline-3sem-avoid", 0xfffb237e8b202b2full,
+     "{\"dead_end_paths\":0,\"edges_created\":1235,\"goal_paths\":1173,\"nodes_created\":1236,\"nodes_expanded\":1236,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":1173}",
+     "OK"},
+    {"goal-4sem-avoid-t0", 0x97dfcf521f4a44a5ull,
+     "{\"dead_end_paths\":40,\"edges_created\":151,\"goal_paths\":72,\"nodes_created\":152,\"nodes_expanded\":152,\"pruned_availability\":64,\"pruned_time\":908,\"pruned_total\":972,\"runtime_seconds\":0,\"terminal_paths\":112}",
+     "OK"},
+    {"goal-4sem-avoid-t4", 0x97dfcf521f4a44a5ull,
+     "{\"dead_end_paths\":40,\"edges_created\":151,\"goal_paths\":72,\"nodes_created\":152,\"nodes_expanded\":152,\"pruned_availability\":64,\"pruned_time\":908,\"pruned_total\":972,\"runtime_seconds\":0,\"terminal_paths\":112}",
+     "OK"},
     {"ranked-5sem-time-k10", 0x1a6db161ba51ac55ull,
      "{\"dead_end_paths\":69459,\"edges_created\":472513,\"goal_paths\":10,\"nodes_created\":472514,\"nodes_expanded\":128138,\"pruned_availability\":290715,\"pruned_time\":1228374,\"pruned_total\":1519089,\"runtime_seconds\":0,\"terminal_paths\":69469}",
      "OK"},
@@ -448,6 +457,22 @@ TEST_F(GoldenBrandeisTest, NodeBudgets) {
     ExpectGraph("goal-5sem" + suffix, catalog(), Goal(5, options));
     ExpectPaths("ranked-5sem" + suffix, catalog(),
                 Ranked(5, time, 10, options));
+  }
+}
+
+// An avoided course is never elected and never listed among a status's
+// options, so these rows pin how the avoid set reaches the exported
+// option sets.
+TEST_F(GoldenBrandeisTest, AvoidedElective) {
+  ExplorationOptions options;
+  Result<DynamicBitset> avoided = catalog().CourseSetFromCodes({"COSI2A"});
+  ASSERT_TRUE(avoided.ok()) << avoided.status().ToString();
+  options.avoid_courses = *avoided;
+  ExpectGraph("deadline-3sem-avoid", catalog(), Deadline(3, options));
+  for (int threads : {0, 4}) {
+    options.num_threads = threads;
+    ExpectGraph(StrFormat("goal-4sem-avoid-t%d", threads), catalog(),
+                Goal(4, options));
   }
 }
 
