@@ -39,7 +39,8 @@ bool WouldBeGenerated(const LearningPath& path, const Catalog& catalog,
     if (goal.IsSatisfied(completed)) return false;  // generator stops here
     if (step.term >= end_term) return false;
     DynamicBitset electable =
-        ComputeOptions(catalog, schedule, completed, step.term, options);
+        ComputeOptions(catalog, schedule.OfferedIn(step.term), completed,
+                       options.avoid_courses);
     if (step.selection.empty()) {
       bool skip_allowed =
           options.allow_voluntary_skip ||

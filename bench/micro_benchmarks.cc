@@ -84,8 +84,9 @@ void BM_ComputeOptions(benchmark::State& state) {
   DynamicBitset completed = RandomSet(dataset.catalog, rng, 0.25);
   Term term(Season::kFall, 2013);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeOptions(dataset.catalog, dataset.schedule,
-                                            completed, term, options));
+    benchmark::DoNotOptimize(
+        ComputeOptions(dataset.catalog, dataset.schedule.OfferedIn(term),
+                       completed, options.avoid_courses));
   }
 }
 BENCHMARK(BM_ComputeOptions);

@@ -73,8 +73,9 @@ int main() {
   std::printf("What-if: option value of each Fall 2014 selection\n");
   std::printf("(paths counted to the %s horizon, max 2 courses/semester)\n\n",
               horizon.ToString().c_str());
-  DynamicBitset first_options = ComputeOptions(
-      catalog, bundle->schedule, fresh.completed, fresh.term, options);
+  DynamicBitset first_options =
+      ComputeOptions(catalog, bundle->schedule.OfferedIn(fresh.term),
+                     fresh.completed, options.avoid_courses);
   std::vector<DynamicBitset> candidates;
   ForEachSelection(first_options, 1, options.max_courses_per_term,
                    [&](const DynamicBitset& selection) {

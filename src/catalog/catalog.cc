@@ -131,4 +131,22 @@ std::string Catalog::CourseSetToString(const DynamicBitset& set) const {
   return out;
 }
 
+DynamicBitset ComputeOptions(const Catalog& catalog,
+                             const DynamicBitset& offered,
+                             const DynamicBitset& completed,
+                             const std::optional<DynamicBitset>& avoid) {
+  // Candidates: offered this term, not yet completed, not avoided.
+  DynamicBitset candidates = offered;
+  candidates.Subtract(completed);
+  if (avoid.has_value()) candidates.Subtract(*avoid);
+  // Keep only candidates whose prerequisite holds for `completed`.
+  DynamicBitset eligible(catalog.size());
+  candidates.ForEach([&](int id) {
+    const expr::CompiledExpr& prereq =
+        catalog.compiled_prereq(static_cast<CourseId>(id));
+    if (prereq.IsAlwaysTrue() || prereq.Eval(completed)) eligible.set(id);
+  });
+  return eligible;
+}
+
 }  // namespace coursenav

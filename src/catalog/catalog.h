@@ -1,6 +1,7 @@
 #ifndef COURSENAV_CATALOG_CATALOG_H_
 #define COURSENAV_CATALOG_CATALOG_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -82,6 +83,22 @@ class Catalog {
   std::vector<expr::CompiledExpr> compiled_prereqs_;
   std::unordered_map<std::string, CourseId> code_to_id_;
 };
+
+/// The option set `Y = {c_j ∈ C − X | Q_j(X) == true, s ∈ S_j}` of the
+/// status `(s, X)` (Section 2), minus the avoided courses: the courses of
+/// `offered` (those running in `s`) that are not in `completed` or `avoid`
+/// and whose prerequisite holds for `completed`. `catalog` must be
+/// finalized.
+///
+/// Y is a pure function of the semester and the completed set, so no
+/// status stores it. The expansion passes the schedule's live
+/// `OfferedIn(s)` read, which the `schedule/churn` fault seam covers;
+/// exports and checks pass the recorded offerings (`OfferedInRange(s, s)`),
+/// which draw no churn decision.
+DynamicBitset ComputeOptions(const Catalog& catalog,
+                             const DynamicBitset& offered,
+                             const DynamicBitset& completed,
+                             const std::optional<DynamicBitset>& avoid);
 
 }  // namespace coursenav
 

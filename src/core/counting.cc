@@ -187,7 +187,7 @@ class CountingRun {
     COURSENAV_RETURN_IF_ERROR(CheckBudget());
     completed_.AssignWords(completed_words);
     LayerSink sink{*this, paths, Status::OK()};
-    switch (expander_.Expand(term, completed_, /*options=*/nullptr, sink)) {
+    switch (expander_.Expand(term, completed_, sink)) {
       case internal::Expansion::kGoal:
         Retire(paths, /*reaches_goal=*/true);
         break;

@@ -2,28 +2,6 @@
 
 namespace coursenav {
 
-DynamicBitset ComputeOptions(const Catalog& catalog,
-                             const OfferingSchedule& schedule,
-                             const DynamicBitset& completed, Term term,
-                             const ExplorationOptions& options) {
-  // Candidates: offered this term, not yet completed, not avoided.
-  DynamicBitset candidates = schedule.OfferedIn(term);
-  candidates.Subtract(completed);
-  if (options.avoid_courses.has_value()) {
-    candidates.Subtract(*options.avoid_courses);
-  }
-  // Keep only candidates whose prerequisite holds for `completed`.
-  DynamicBitset eligible(catalog.size());
-  candidates.ForEach([&](int id) {
-    CourseId course = static_cast<CourseId>(id);
-    const expr::CompiledExpr& prereq = catalog.compiled_prereq(course);
-    if (prereq.IsAlwaysTrue() || prereq.Eval(completed)) {
-      eligible.set(id);
-    }
-  });
-  return eligible;
-}
-
 Status ValidateExplorationInputs(const Catalog& catalog,
                                  const OfferingSchedule& schedule,
                                  const EnrollmentStatus& start,

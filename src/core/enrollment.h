@@ -12,20 +12,12 @@ namespace coursenav {
 
 /// A student's enrollment status at a point in time (Section 2): the
 /// current semester `s` and the set of completed courses `X`. The option
-/// set `Y` is derived (ComputeOptions below) rather than stored.
+/// set `Y` is derived (`ComputeOptions`, catalog/catalog.h) rather than
+/// stored.
 struct EnrollmentStatus {
   Term term;
   DynamicBitset completed;
 };
-
-/// Computes the option set
-/// `Y = {c_j ∈ C − X | Q_j(X) == true, s ∈ S_j}` minus any avoided
-/// courses: the courses the student may elect in `term` given completed set
-/// `completed`.
-DynamicBitset ComputeOptions(const Catalog& catalog,
-                             const OfferingSchedule& schedule,
-                             const DynamicBitset& completed, Term term,
-                             const ExplorationOptions& options);
 
 /// Validates a (catalog, schedule, start, options) tuple shared by all
 /// generators: the catalog must be finalized, the completed set sized to

@@ -7,10 +7,10 @@
 #include <optional>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "catalog/term.h"
 #include "core/combinations.h"
 #include "core/engine.h"
-#include "core/enrollment.h"
 #include "core/pruning.h"
 #include "graph/learning_graph.h"
 #include "obs/metrics.h"
@@ -80,28 +80,26 @@ class Expander {
     batch_.Configure(engine.catalog().size());
   }
 
-  /// Runs the step on the status `(term, completed)` whose option set is
-  /// `*options` (null: derived here, for drivers that keep no option
-  /// sets). In order: the goal/end test; Equation 1's minimum selection,
-  /// whose skipped selections count as time-pruned; enumeration into the
-  /// candidate batch, classified batch-wise, kept rows going to the sink in
-  /// enumeration order; and the skip edge. Near the node budget the staged
-  /// rows are handed over before the sink's exact check, so the check sees
-  /// the node count a candidate-at-a-time loop would.
+  /// Runs the step on the status `(term, completed)`. In order: the
+  /// goal/end test; the status's option set `Y`, derived here because no
+  /// status stores it (so a leaf never pays for it); Equation 1's minimum
+  /// selection, whose skipped selections count as time-pruned; enumeration
+  /// into the candidate batch, classified batch-wise, kept rows going to the
+  /// sink in enumeration order; and the skip edge. Near the node budget the
+  /// staged rows are handed over before the sink's exact check, so the
+  /// check sees the node count a candidate-at-a-time loop would.
   template <typename Sink>
-  Expansion Expand(Term term, const DynamicBitset& completed,
-                   const DynamicBitset* options, Sink& sink) {
+  Expansion Expand(Term term, const DynamicBitset& completed, Sink& sink) {
     const Term end = engine_.end();
     if (goal_ == nullptr ? term == end : goal_->IsSatisfied(completed)) {
       return Expansion::kGoal;
     }
     if (term == end) return Expansion::kMissed;
 
-    if (options == nullptr) {
-      derived_options_ = ComputeOptions(engine_.catalog(), engine_.schedule(),
-                                        completed, term, engine_.options());
-      options = &derived_options_;
-    }
+    // The live schedule read, which the schedule/churn fault seam covers.
+    options_ = ComputeOptions(engine_.catalog(),
+                              engine_.schedule().OfferedIn(term), completed,
+                              engine_.options().avoid_courses);
     const int max_size = engine_.options().max_courses_per_term;
     child_term_ = term.Next();
     kept_ = false;
@@ -114,13 +112,13 @@ class Expander {
       min_size = oracle_->MinSelectionSize(left_parent_, term);
       if (min_size > 1) {
         oracle_->AccountSkippedTimePruned(static_cast<int64_t>(CountSelections(
-            options->count(), 1, std::min(min_size - 1, max_size))));
+            options_.count(), 1, std::min(min_size - 1, max_size))));
       }
     }
 
-    if (!options->empty() && min_size <= options->count()) {
+    if (!options_.empty() && min_size <= options_.count()) {
       const bool enumerated = ForEachSelection(
-          *options, min_size, max_size, [&](const DynamicBitset& selection) {
+          options_, min_size, max_size, [&](const DynamicBitset& selection) {
             if (!batch_.empty() && sink.NearNodeBudget(batch_.size()) &&
                 !Flush(sink)) {
               return false;
@@ -140,7 +138,7 @@ class Expander {
     // electable now but courses remain later (Figure 3's n4 → n7), or
     // always under allow_voluntary_skip.
     if (engine_.options().allow_voluntary_skip ||
-        (options->empty() && engine_.FutureCourseExists(completed, term))) {
+        (options_.empty() && engine_.FutureCourseExists(completed, term))) {
       batch_.Push(completed, empty_selection_);
     }
     if (!Flush(sink)) return Expansion::kStopped;
@@ -157,18 +155,14 @@ class Expander {
   const DynamicBitset& child_completed() const { return child_completed_; }
 
   /// Graph sinks: materializes the unpacked child under `parent` (id
-  /// `parent_id`, owned by the caller) in `shard`, with its option set
-  /// derived for the next semester, and counts the node and its edge.
+  /// `parent_id`, owned by the caller) in `shard`, and counts the node and
+  /// its edge.
   LearningGraph::CreatedChild AddChild(LearningGraph& graph, int shard,
                                        NodeId parent_id, LearningNode* parent,
                                        double edge_cost, double path_cost) {
-    DynamicBitset child_options =
-        ComputeOptions(engine_.catalog(), engine_.schedule(), child_completed_,
-                       parent->term.Next(), engine_.options());
-    LearningGraph::CreatedChild child = graph.AddChildTo(
-        shard, parent_id, parent, child_selection_,
-        DynamicBitset(child_completed_), std::move(child_options), edge_cost,
-        path_cost);
+    LearningGraph::CreatedChild child =
+        graph.AddChildTo(shard, parent_id, parent, child_selection_,
+                         DynamicBitset(child_completed_), edge_cost, path_cost);
     metrics_->nodes_created += 1;
     metrics_->edges_created += 1;
     return child;
@@ -213,7 +207,7 @@ class Expander {
   CandidateBatch batch_;
   std::vector<PruningOracle::Verdict> verdicts_;
   const DynamicBitset empty_selection_;
-  DynamicBitset derived_options_;  // Y_i when the driver keeps none
+  DynamicBitset options_;  // Y_i of the status being expanded
   DynamicBitset child_completed_;
   DynamicBitset child_selection_;
   // Of the status being expanded: its children's semester, Equation 1's

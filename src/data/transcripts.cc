@@ -25,8 +25,8 @@ LearningPath Walk(const Catalog& catalog, const OfferingSchedule& schedule,
       *reached = true;
       return path;
     }
-    DynamicBitset electable =
-        ComputeOptions(catalog, schedule, completed, term, options);
+    DynamicBitset electable = ComputeOptions(
+        catalog, schedule.OfferedIn(term), completed, options.avoid_courses);
     std::vector<int> pool = electable.ToIndices();
 
     int load = options.max_courses_per_term;

@@ -224,8 +224,8 @@ void ExpandNode(WorkerCtx& ctx, int worker_index, const FrontierItem& item,
     // The worker owns the popped node exclusively and the arena never
     // relocates it, so its sets are read in place.
     LearningNode* node = item.node;
-    const Expansion expansion = ctx.expander.Expand(
-        node->term, node->completed, &node->options, sink);
+    const Expansion expansion =
+        ctx.expander.Expand(node->term, node->completed, sink);
     if (expansion == Expansion::kGoal) node->is_goal = true;
     CountLeaf(expansion, ctx.metrics);
   }

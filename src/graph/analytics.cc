@@ -90,15 +90,15 @@ LearningGraph ExtractGoalSubgraph(const LearningGraph& graph) {
   std::vector<NodeId> remap(static_cast<size_t>(graph.num_nodes()),
                             kInvalidNodeId);
   const LearningNode& root = graph.node(graph.root());
-  remap[0] = out.AddRoot(root.term, root.completed, root.options);
+  remap[0] = out.AddRoot(root.term, root.completed);
   if (root.is_goal) out.MarkGoal(remap[0]);
   for (NodeId id = 1; id < graph.num_nodes(); ++id) {
     if (!keep[static_cast<size_t>(id)]) continue;
     const LearningNode& node = graph.node(id);
     NodeId parent = remap[static_cast<size_t>(node.parent)];
-    NodeId copy = out.AddChildWithPathCost(parent, node.selection,
-                                           node.completed, node.options,
-                                           node.edge_cost, node.path_cost);
+    NodeId copy =
+        out.AddChildWithPathCost(parent, node.selection, node.completed,
+                                 node.edge_cost, node.path_cost);
     remap[static_cast<size_t>(id)] = copy;
     if (node.is_goal) out.MarkGoal(copy);
   }

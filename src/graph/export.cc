@@ -46,7 +46,9 @@ std::string LearningGraphToDot(const LearningGraph& graph,
 }
 
 JsonValue LearningGraphToJson(const LearningGraph& graph,
-                              const Catalog& catalog) {
+                              const Catalog& catalog,
+                              const OfferingSchedule& schedule,
+                              const std::optional<DynamicBitset>& avoid) {
   JsonValue::Array nodes;
   for (NodeId id = 0; id < graph.num_nodes(); ++id) {
     const LearningNode& node = graph.node(id);
@@ -54,7 +56,10 @@ JsonValue LearningGraphToJson(const LearningGraph& graph,
     obj["id"] = JsonValue(static_cast<int64_t>(id));
     obj["term"] = JsonValue(node.term.ToString());
     obj["completed"] = CodesArray(node.completed, catalog);
-    obj["options"] = CodesArray(node.options, catalog);
+    obj["options"] = CodesArray(
+        ComputeOptions(catalog, schedule.OfferedInRange(node.term, node.term),
+                       node.completed, avoid),
+        catalog);
     obj["is_goal"] = JsonValue(node.is_goal);
     nodes.emplace_back(std::move(obj));
   }

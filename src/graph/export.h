@@ -1,10 +1,12 @@
 #ifndef COURSENAV_GRAPH_EXPORT_H_
 #define COURSENAV_GRAPH_EXPORT_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/schedule.h"
 #include "graph/learning_graph.h"
 #include "graph/path.h"
 #include "util/json.h"
@@ -20,9 +22,15 @@ namespace coursenav {
 std::string LearningGraphToDot(const LearningGraph& graph,
                                const Catalog& catalog);
 
-/// JSON document with "nodes" and "edges" arrays.
+/// JSON document with "nodes" and "edges" arrays. Each node lists its
+/// option set, which the graph does not store: it is derived from
+/// `catalog`, the schedule's recorded offerings (no `schedule/churn`
+/// decision is drawn, so the export is deterministic) and the run's `avoid`
+/// set.
 JsonValue LearningGraphToJson(const LearningGraph& graph,
-                              const Catalog& catalog);
+                              const Catalog& catalog,
+                              const OfferingSchedule& schedule,
+                              const std::optional<DynamicBitset>& avoid);
 
 /// JSON rendering of a single path: start term, start set, steps, cost.
 JsonValue LearningPathToJson(const LearningPath& path, const Catalog& catalog);

@@ -14,8 +14,7 @@ namespace {
 
 /// Heap bytes a node's bitsets spilled beyond the node itself.
 size_t BitsetHeapBytes(const LearningNode& node) {
-  return node.completed.MemoryUsage() + node.options.MemoryUsage() +
-         node.selection.MemoryUsage();
+  return node.completed.MemoryUsage() + node.selection.MemoryUsage();
 }
 
 }  // namespace
@@ -27,44 +26,38 @@ void LearningGraph::ConfigureShards(int num_shards) {
   shards_.resize(static_cast<size_t>(num_shards));
 }
 
-NodeId LearningGraph::AddRoot(Term term, DynamicBitset completed,
-                              DynamicBitset options) {
+NodeId LearningGraph::AddRoot(Term term, DynamicBitset completed) {
   assert(shards_[0].nodes.empty());
   LearningNode node;
   node.term = term;
   node.completed = std::move(completed);
-  node.options = std::move(options);
   shards_[0].memory_bytes += sizeof(LearningNode) + BitsetHeapBytes(node);
   shards_[0].nodes.push_back(std::move(node));
   return 0;
 }
 
 NodeId LearningGraph::AddChild(NodeId parent, DynamicBitset selection,
-                               DynamicBitset completed, DynamicBitset options,
-                               double edge_cost) {
+                               DynamicBitset completed, double edge_cost) {
   double path_cost = node(parent).path_cost + edge_cost;
   return AddChildWithPathCost(parent, std::move(selection),
-                              std::move(completed), std::move(options),
-                              edge_cost, path_cost);
+                              std::move(completed), edge_cost, path_cost);
 }
 
 NodeId LearningGraph::AddChildWithPathCost(NodeId parent,
                                            DynamicBitset selection,
                                            DynamicBitset completed,
-                                           DynamicBitset options,
                                            double edge_cost,
                                            double path_cost) {
   return AddChildTo(/*shard=*/parent >> kShardShift, parent,
                     &node_mut(parent), std::move(selection),
-                    std::move(completed), std::move(options), edge_cost,
-                    path_cost)
+                    std::move(completed), edge_cost, path_cost)
       .id;
 }
 
 LearningGraph::CreatedChild LearningGraph::AddChildTo(
     int shard_index, NodeId parent_id, LearningNode* parent,
-    DynamicBitset selection, DynamicBitset completed, DynamicBitset options,
-    double edge_cost, double path_cost) {
+    DynamicBitset selection, DynamicBitset completed, double edge_cost,
+    double path_cost) {
   Shard& shard = shards_[static_cast<size_t>(shard_index)];
   if (FaultInjector* injector = ActiveFaultInjector();
       injector != nullptr && injector->ShouldInject(kFaultSiteGraphAlloc)) {
@@ -92,7 +85,6 @@ LearningGraph::CreatedChild LearningGraph::AddChildTo(
   child.term = parent->term.Next();
   child.parent = parent_id;
   child.completed = std::move(completed);
-  child.options = std::move(options);
   child.selection = std::move(selection);
   child.edge_cost = edge_cost;
   child.path_cost = path_cost;
@@ -170,8 +162,6 @@ void LearningGraph::CheckInvariants() const {
       const LearningNode& current = shard.nodes[i];
       CN_CHECK_EQ(current.completed.universe_size(), universe)
           << "node " << id << " completed-set universe mismatch";
-      CN_CHECK_EQ(current.options.universe_size(), universe)
-          << "node " << id << " option-set universe mismatch";
       if (id != 0) {
         CN_CHECK(valid_node(current.parent))
             << "node " << id << " parent " << current.parent
@@ -186,9 +176,6 @@ void LearningGraph::CheckInvariants() const {
         CN_CHECK_EQ(current.term.index(), parent.term.index() + 1)
             << "edge into node " << id
             << " does not advance time by one semester (parent-link cycle?)";
-        CN_CHECK(current.selection.IsSubsetOf(parent.options))
-            << "selection into node " << id
-            << " elects courses outside the parent's options";
         CN_CHECK((parent.completed | current.selection) == current.completed)
             << "node " << id
             << " completed set is not parent.completed ∪ selection";
@@ -210,6 +197,27 @@ void LearningGraph::CheckInvariants() const {
     for (size_t i = 1; i < shards_[0].nodes.size(); ++i) {
       CN_CHECK_LT(shards_[0].nodes[i].parent, static_cast<NodeId>(i))
           << "canonical numbering must order parents before children";
+    }
+  }
+}
+
+void LearningGraph::CheckAvailability(
+    const Catalog& catalog, const OfferingSchedule& schedule,
+    const std::optional<DynamicBitset>& avoid) const {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = shards_[s];
+    for (size_t i = 0; i < shard.nodes.size(); ++i) {
+      const LearningNode& parent = shard.nodes[i];
+      if (parent.out_edges.empty()) continue;
+      // Derived once per parent, for all of its children.
+      const DynamicBitset options = ComputeOptions(
+          catalog, schedule.OfferedInRange(parent.term, parent.term),
+          parent.completed, avoid);
+      for (NodeId child : parent.out_edges) {
+        CN_CHECK(node(child).selection.IsSubsetOf(options))
+            << "selection into node " << child
+            << " elects courses outside the parent's options";
+      }
     }
   }
 }

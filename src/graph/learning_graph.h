@@ -4,9 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <ranges>
 #include <vector>
 
+#include "catalog/catalog.h"
+#include "catalog/schedule.h"
 #include "catalog/term.h"
 #include "util/bitset.h"
 #include "util/chunked_vector.h"
@@ -59,9 +62,12 @@ class EdgeRange {
   int32_t count_ = 0;
 };
 
-/// One enrollment status `n_i` (Section 2): the semester `s_i`, the courses
-/// completed by then `X_i`, and the course options `Y_i` available in `s_i`,
-/// plus the status's inbound edge `e(n_{i-1}, n_i)`.
+/// One enrollment status `n_i` (Section 2): the semester `s_i` and the
+/// courses completed by then `X_i`, plus the status's inbound edge
+/// `e(n_{i-1}, n_i)`. The status's course options `Y_i` are a pure function
+/// of `(s_i, X_i)` given the catalog, schedule and avoid set, and only an
+/// expanded status reads them, so they are derived when needed
+/// (`ComputeOptions`, catalog/catalog.h), not stored.
 ///
 /// The graph is a tree, so every node but the root has exactly one inbound
 /// edge; it is stored here, in the child (`parent`, `selection`,
@@ -80,7 +86,6 @@ struct LearningNode {
   /// Source of the inbound edge; kInvalidNodeId at the root.
   NodeId parent = kInvalidNodeId;
   DynamicBitset completed;  ///< X_i
-  DynamicBitset options;    ///< Y_i
   /// The inbound edge's selection W_{i-1,i} ⊆ Y_{i-1}, elected in the
   /// parent's semester (an empty universe at the root).
   DynamicBitset selection;
@@ -171,21 +176,20 @@ class LearningGraph {
 
   /// Creates the start node `n_1` in shard 0. Must be called exactly once,
   /// first.
-  NodeId AddRoot(Term term, DynamicBitset completed, DynamicBitset options);
+  NodeId AddRoot(Term term, DynamicBitset completed);
 
   /// Creates a node one semester after `parent`, reached by the edge
   /// electing `selection` in the parent's semester. The child's path cost
   /// defaults to `parent.path_cost + edge_cost` (additive rankings). A
   /// parent's children must be added back to back (see the class comment).
   NodeId AddChild(NodeId parent, DynamicBitset selection,
-                  DynamicBitset completed, DynamicBitset options,
-                  double edge_cost = 0.0);
+                  DynamicBitset completed, double edge_cost = 0.0);
 
   /// Like AddChild, but with an explicit accumulated path cost — for
   /// rankings whose fold is not addition (see RankingFunction::Combine).
   NodeId AddChildWithPathCost(NodeId parent, DynamicBitset selection,
-                              DynamicBitset completed, DynamicBitset options,
-                              double edge_cost, double path_cost);
+                              DynamicBitset completed, double edge_cost,
+                              double path_cost);
 
   /// A freshly created child: its id plus a stable pointer the creating
   /// worker hands to the frontier (cross-thread reads go through the
@@ -201,8 +205,7 @@ class LearningGraph {
   /// owns `shard` may call this for that shard.
   CreatedChild AddChildTo(int shard, NodeId parent_id, LearningNode* parent,
                           DynamicBitset selection, DynamicBitset completed,
-                          DynamicBitset options, double edge_cost,
-                          double path_cost);
+                          double edge_cost, double path_cost);
 
   void MarkGoal(NodeId id) { node_mut(id).is_goal = true; }
 
@@ -291,15 +294,24 @@ class LearningGraph {
   /// links and child ranges agree (each non-root node lies in its parent's
   /// range, each range lists only nodes naming that parent), strict term
   /// advance along every edge (which proves the parent links acyclic),
-  /// selection/completed-set algebra (`child.X = parent.X ∪ W`,
-  /// `W ⊆ parent.Y`), uniform bitset universes, and — for canonicalized
-  /// single-shard graphs — that the contiguous numbering orders every
-  /// parent before its children.
+  /// completed-set algebra (`child.X = parent.X ∪ W`), uniform bitset
+  /// universes, and — for canonicalized single-shard graphs — that the
+  /// contiguous numbering orders every parent before its children.
   ///
   /// O(nodes); call sites gate on CN_DCHECK_IS_ON() (Canonicalize
   /// self-checks its output under the `dcheck` preset). Always compiled,
   /// so tests can invoke it directly in any build.
   void CheckInvariants() const;
+
+  /// Availability validator: aborts via CN_CHECK unless every selection
+  /// was available, `W ⊆ Y(parent)`. The graph stores no option sets, so
+  /// `Y(parent)` is derived from `catalog`, the schedule's recorded
+  /// offerings (a read that draws no `schedule/churn` decision, and a
+  /// superset of any churned read the run saw) and the run's `avoid` set.
+  /// O(nodes); the executor runs it after every run in dcheck builds.
+  void CheckAvailability(const Catalog& catalog,
+                         const OfferingSchedule& schedule,
+                         const std::optional<DynamicBitset>& avoid) const;
 
   /// Renumbers the graph into the node/edge id order a serial run produces
   /// (the generators' LIFO expansion order over each node's out-edges) and

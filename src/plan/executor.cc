@@ -34,18 +34,23 @@ Status ValidateRequest(const Catalog& catalog, const OfferingSchedule& schedule,
 }
 
 /// Pipeline prologue, part 2 — the Source operator: the start node n1 with
-/// X1 = X and its derived option set (lines 1-3 of Algorithm 1), shared
-/// by every pipeline.
-NodeId ConstructRoot(const Catalog& catalog, const OfferingSchedule& schedule,
-                     const ExplorationRequest& request, LearningGraph& graph,
+/// X1 = X (lines 1-3 of Algorithm 1; its option set is derived when it is
+/// expanded, like every status's), shared by every pipeline.
+NodeId ConstructRoot(const ExplorationRequest& request, LearningGraph& graph,
                      obs::ExplorationMetrics& metrics) {
-  DynamicBitset root_options =
-      ComputeOptions(catalog, schedule, request.start.completed,
-                     request.start.term, request.options);
-  NodeId root = graph.AddRoot(request.start.term, request.start.completed,
-                              root_options);
+  NodeId root = graph.AddRoot(request.start.term, request.start.completed);
   metrics.nodes_created += 1;
   return root;
+}
+
+/// The dcheck builds' proof that a run's graph is well-formed: the
+/// structure, and (which needs the catalog the graph does not hold) that
+/// every selection was available in its parent's semester.
+void CheckGraph(const LearningGraph& graph, const Catalog& catalog,
+                const OfferingSchedule& schedule,
+                const ExplorationRequest& request) {
+  graph.CheckInvariants();
+  graph.CheckAvailability(catalog, schedule, request.options.avoid_courses);
 }
 
 /// What the serial sinks share: the engine's exact budget checks against
@@ -87,8 +92,8 @@ internal::Expansion ExpandSerial(Sink& sink, NodeId current) {
   // Arena storage never relocates nodes, so the pointer stays valid while
   // children are added.
   sink.node = sink.graph.stable_node_ptr(current);
-  const internal::Expansion expansion = sink.expander.Expand(
-      sink.node->term, sink.node->completed, &sink.node->options, sink);
+  const internal::Expansion expansion =
+      sink.expander.Expand(sink.node->term, sink.node->completed, sink);
   if (expansion == internal::Expansion::kGoal) sink.graph.MarkGoal(current);
   internal::CountLeaf(expansion, metrics);
   return expansion;
@@ -152,7 +157,7 @@ Result<GenerationResult> RunGraph(const ExplorationPlan& plan,
   GenerationResult result;
   LearningGraph& graph = result.graph;
   if (plan.parallel) graph.ConfigureShards(plan.workers);
-  ConstructRoot(catalog, schedule, request, graph, metrics);
+  ConstructRoot(request, graph, metrics);
   construct_span->AddInt("catalog_courses", catalog.size());
   construct_span.reset();
 
@@ -166,7 +171,7 @@ Result<GenerationResult> RunGraph(const ExplorationPlan& plan,
     if (plan.parallel) expand_span.AddInt("threads", plan.workers);
   }
 
-  if (CN_DCHECK_IS_ON()) graph.CheckInvariants();
+  if (CN_DCHECK_IS_ON()) CheckGraph(graph, catalog, schedule, request);
   result.stats = engine.StatsView();
   run_span.AddInt("nodes_created", result.stats.nodes_created);
   if (spec.goal != nullptr) {
@@ -256,7 +261,7 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
 
   RankedResult result;
   LearningGraph graph;
-  NodeId root = ConstructRoot(catalog, schedule, request, graph, metrics);
+  NodeId root = ConstructRoot(request, graph, metrics);
   construct_span.reset();
 
   {
@@ -294,7 +299,7 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
   }
 
   if (CN_DCHECK_IS_ON()) {
-    graph.CheckInvariants();
+    CheckGraph(graph, catalog, schedule, request);
     expander.oracle()->CheckInvariants();
   }
   result.stats = engine.StatsView();

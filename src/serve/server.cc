@@ -56,9 +56,13 @@ ResponseOutcome OutcomeForStatus(const Status& status) {
   return ResponseOutcome::kFailed;
 }
 
-/// The summary (and, when asked, full) payload for a materialized answer.
+/// The summary (and, when asked, full) payload for a materialized answer to
+/// `request`.
 JsonValue BuildResultPayload(const ExplorationResponse& response,
-                             bool full_payload, const Catalog& catalog) {
+                             const ExplorationRequest& request,
+                             bool full_payload,
+                             const CourseNavigator& navigator) {
+  const Catalog& catalog = navigator.catalog();
   JsonValue::Object object;
   if (response.generation.has_value()) {
     const GenerationResult& generation = *response.generation;
@@ -67,7 +71,9 @@ JsonValue BuildResultPayload(const ExplorationResponse& response,
     object["terminal_paths"] = JsonValue(generation.stats.terminal_paths);
     object["goal_paths"] = JsonValue(generation.stats.goal_paths);
     if (full_payload) {
-      object["graph"] = LearningGraphToJson(generation.graph, catalog);
+      object["graph"] =
+          LearningGraphToJson(generation.graph, catalog, navigator.schedule(),
+                              request.options.avoid_courses);
     }
   }
   if (response.ranked.has_value()) {
@@ -329,8 +335,9 @@ void ExplorationServer::Execute(const std::shared_ptr<Ticket>& ticket) {
         out.result = answer.count.has_value()
                          ? BuildCountPayload(*answer.count)
                          : BuildResultPayload(*answer.response,
+                                              ticket->request,
                                               ticket->full_payload,
-                                              navigator_.catalog());
+                                              navigator_);
       } else {
         out.outcome = OutcomeForStatus(degraded.status());
         out.status = degraded.status();
@@ -351,8 +358,8 @@ void ExplorationServer::Execute(const std::shared_ptr<Ticket>& ticket) {
           out.outcome = OutcomeForStatus(termination);
           out.status = termination;
         }
-        out.result = BuildResultPayload(answer, ticket->full_payload,
-                                        navigator_.catalog());
+        out.result = BuildResultPayload(answer, ticket->request,
+                                        ticket->full_payload, navigator_);
       } else {
         out.outcome = OutcomeForStatus(response.status());
         out.status = response.status();

@@ -144,8 +144,8 @@ bool ExplorationSession::GoalReached() const {
 }
 
 DynamicBitset ExplorationSession::CurrentOptions() const {
-  return ComputeOptions(*catalog_, *schedule_, current_.completed,
-                        current_.term, options_);
+  return ComputeOptions(*catalog_, schedule_->OfferedIn(current_.term),
+                        current_.completed, options_.avoid_courses);
 }
 
 Result<uint64_t> ExplorationSession::CountThroughCache(

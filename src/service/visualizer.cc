@@ -59,12 +59,16 @@ std::string RenderGraphSummary(const LearningGraph& graph,
 }
 
 std::string RenderStatus(const LearningGraph& graph, NodeId node,
-                         const Catalog& catalog) {
+                         const Catalog& catalog,
+                         const OfferingSchedule& schedule,
+                         const std::optional<DynamicBitset>& avoid) {
   const LearningNode& n = graph.node(node);
+  const DynamicBitset options = ComputeOptions(
+      catalog, schedule.OfferedInRange(n.term, n.term), n.completed, avoid);
   return StrFormat("%s: completed %s, options %s%s",
                    n.term.ToString().c_str(),
                    catalog.CourseSetToString(n.completed).c_str(),
-                   catalog.CourseSetToString(n.options).c_str(),
+                   catalog.CourseSetToString(options).c_str(),
                    n.is_goal ? " [goal]" : "");
 }
 

@@ -1,10 +1,12 @@
 #ifndef COURSENAV_SERVICE_VISUALIZER_H_
 #define COURSENAV_SERVICE_VISUALIZER_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/schedule.h"
 #include "core/stats.h"
 #include "graph/learning_graph.h"
 #include "graph/path.h"
@@ -30,9 +32,13 @@ std::string RenderPaths(const std::vector<LearningPath>& paths,
 std::string RenderGraphSummary(const LearningGraph& graph,
                                const ExplorationStats& stats);
 
-/// Renders a single node's enrollment status.
+/// Renders a single node's enrollment status, with its option set derived
+/// from `catalog`, the schedule's recorded offerings and the run's `avoid`
+/// set (the graph stores none).
 std::string RenderStatus(const LearningGraph& graph, NodeId node,
-                         const Catalog& catalog);
+                         const Catalog& catalog,
+                         const OfferingSchedule& schedule,
+                         const std::optional<DynamicBitset>& avoid);
 
 }  // namespace coursenav
 

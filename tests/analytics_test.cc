@@ -28,9 +28,9 @@ TEST(AnalyticsTest, HandBuiltGraphCounts) {
   };
   // root -> {11A} -> goal ; root -> {29A} -> (non-goal leaf)
   LearningGraph graph;
-  NodeId root = graph.AddRoot(fix.fall11, bits({}), bits({0, 1}));
-  NodeId a = graph.AddChild(root, bits({0}), bits({0}), bits({}));
-  graph.AddChild(root, bits({1}), bits({1}), bits({}));
+  NodeId root = graph.AddRoot(fix.fall11, bits({}));
+  NodeId a = graph.AddChild(root, bits({0}), bits({0}));
+  graph.AddChild(root, bits({1}), bits({1}));
   graph.MarkGoal(a);
 
   GraphAnalytics analytics = AnalyzeLearningGraph(graph, fix.catalog);
@@ -134,8 +134,8 @@ TEST(ExtractGoalSubgraphTest, NoGoalsYieldsEmptyGraph) {
     return b;
   };
   LearningGraph graph;
-  NodeId root = graph.AddRoot(fix.fall11, bits({}), bits({0}));
-  graph.AddChild(root, bits({0}), bits({0}), bits({}));
+  NodeId root = graph.AddRoot(fix.fall11, bits({}));
+  graph.AddChild(root, bits({0}), bits({0}));
   LearningGraph trimmed = ExtractGoalSubgraph(graph);
   EXPECT_EQ(trimmed.num_nodes(), 0);
   EXPECT_EQ(ExtractGoalSubgraph(LearningGraph()).num_nodes(), 0);

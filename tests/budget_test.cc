@@ -209,7 +209,9 @@ TEST_P(BudgetMatrixTest, StarvedGeneratorReturnsValidPartialResult) {
                                     start, end_, *dataset_.cs_major, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectDocumentedStatus(result->termination);
-  EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+  EXPECT_EQ(testing_util::StructureErrors(result->graph, dataset_.catalog,
+                                          dataset_.schedule,
+                                          options.avoid_courses), "");
   EXPECT_EQ(testing_util::StatsErrors(result->graph, result->stats), "");
   if (options.limits.max_nodes > 0) {
     // The budget is checked per enumerated selection, so at most one child

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -179,10 +180,13 @@ std::string DirectRunDifference(const Figure3Fixture& fixture,
   return StatsDifference(direct->generation->stats, response.generation->stats);
 }
 
-/// The graph of a generation response, exported as JSON text.
+/// The graph of a generation response to a Figure 3 request (which avoids
+/// no course), exported as JSON text.
 std::string ExportedGraph(const ExplorationResponse& response,
-                          const Catalog& catalog) {
-  return LearningGraphToJson(response.generation->graph, catalog).Dump();
+                          const Figure3Fixture& fixture) {
+  return LearningGraphToJson(response.generation->graph, fixture.catalog,
+                             fixture.schedule, std::nullopt)
+      .Dump();
 }
 
 TEST(RequestCacheTest, MissThenByteIdenticalHitAcrossThreadCounts) {
@@ -232,7 +236,7 @@ TEST(RequestCacheTest, HeldResponsesOutliveClearAndInvalidate) {
   auto held = cache.Execute(fixture.catalog, fixture.schedule,
                             Figure3Request(fixture));
   ASSERT_TRUE(held.ok()) << held.status().ToString();
-  const std::string exported = ExportedGraph(**held, fixture.catalog);
+  const std::string exported = ExportedGraph(**held, fixture);
 
   cache.Clear();
   EXPECT_EQ(cache.Stats().result_entries, 0u);
@@ -256,7 +260,7 @@ TEST(RequestCacheTest, HeldResponsesOutliveClearAndInvalidate) {
        {*held, *refilled}) {
     EXPECT_EQ(DirectRunDifference(fixture, Figure3Request(fixture), *response),
               "");
-    EXPECT_EQ(ExportedGraph(*response, fixture.catalog), exported);
+    EXPECT_EQ(ExportedGraph(*response, fixture), exported);
   }
 }
 
@@ -266,7 +270,7 @@ TEST(RequestCacheTest, ConcurrentReadersExportOneStoredGraphWhileCleared) {
   auto stored = cache.Execute(fixture.catalog, fixture.schedule,
                               Figure3Request(fixture));
   ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-  const std::string expected = ExportedGraph(**stored, fixture.catalog);
+  const std::string expected = ExportedGraph(**stored, fixture);
   const ExplorationRequest request = Figure3Request(fixture);
 
   constexpr int kReaders = 4;
@@ -279,7 +283,7 @@ TEST(RequestCacheTest, ConcurrentReadersExportOneStoredGraphWhileCleared) {
         auto response =
             cache.Execute(fixture.catalog, fixture.schedule, request);
         if (!response.ok() ||
-            ExportedGraph(**response, fixture.catalog) != expected) {
+            ExportedGraph(**response, fixture) != expected) {
           ++mismatches[static_cast<size_t>(r)];
         }
       }
@@ -292,7 +296,7 @@ TEST(RequestCacheTest, ConcurrentReadersExportOneStoredGraphWhileCleared) {
 
   for (int r = 0; r < kReaders; ++r) EXPECT_EQ(mismatches[r], 0) << r;
   // The first reader's pointer kept its graph alive through every Clear().
-  EXPECT_EQ(ExportedGraph(**stored, fixture.catalog), expected);
+  EXPECT_EQ(ExportedGraph(**stored, fixture), expected);
   EXPECT_GE(cache.Stats().result_hits, 1);
 }
 

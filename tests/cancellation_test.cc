@@ -81,7 +81,9 @@ TEST(CancellationTest, PreCancelledGenerationStopsWithinOneExpansion) {
   // Cancellation fires at the first budget check: at most the root and one
   // expansion's first child exist.
   EXPECT_LE(result->graph.num_nodes(), 2);
-  EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+  EXPECT_EQ(testing_util::StructureErrors(result->graph, dataset.catalog,
+                                          dataset.schedule,
+                                          options.avoid_courses), "");
 }
 
 TEST(CancellationTest, PreCancelledCountingFailsCleanly) {
@@ -121,7 +123,9 @@ TEST(CancellationTest, MidFlightCancelStopsARunningGeneration) {
   EXPECT_TRUE(result->termination.IsCancelled())
       << result->termination.ToString();
   EXPECT_GE(result->graph.num_nodes(), 1);
-  EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+  EXPECT_EQ(testing_util::StructureErrors(result->graph, dataset.catalog,
+                                          dataset.schedule,
+                                          options.avoid_courses), "");
   EXPECT_EQ(testing_util::StatsErrors(result->graph, result->stats), "");
 }
 

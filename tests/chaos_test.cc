@@ -137,7 +137,9 @@ TEST(ChaosTest, TwoHundredSeedSweep) {
     ASSERT_TRUE(generated.ok()) << generated.status().ToString();
     EXPECT_TRUE(IsCleanOutcome(generated->termination))
         << generated->termination.ToString();
-    ASSERT_EQ(testing_util::StructureErrors(generated->graph), "");
+    ASSERT_EQ(testing_util::StructureErrors(generated->graph, dataset.catalog,
+                                            dataset.schedule,
+                                            options.avoid_courses), "");
     ASSERT_EQ(testing_util::StatsErrors(generated->graph, generated->stats),
               "");
 
@@ -167,7 +169,10 @@ TEST(ChaosTest, TwoHundredSeedSweep) {
       if (degraded->response != nullptr &&
           degraded->response->generation.has_value()) {
         const LearningGraph& graph = degraded->response->generation->graph;
-        EXPECT_EQ(testing_util::StructureErrors(graph), "");
+        EXPECT_EQ(testing_util::StructureErrors(graph, dataset.catalog,
+                                                dataset.schedule,
+                                                request.options.avoid_courses),
+                  "");
       }
     } else {
       EXPECT_TRUE(IsCleanOutcome(degraded.status()))
@@ -240,7 +245,9 @@ TEST(ChaosTest, AllocationFaultsYieldResourceExhaustedPartialGraphs) {
       << result->termination.ToString();
   EXPECT_NE(result->termination.message().find("fault injection"),
             std::string::npos);
-  EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+  EXPECT_EQ(testing_util::StructureErrors(result->graph, dataset.catalog,
+                                          dataset.schedule,
+                                          options.avoid_courses), "");
 }
 
 // The metrics registry's contract under fire: interning from many threads

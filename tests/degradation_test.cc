@@ -203,7 +203,9 @@ TEST_F(DegradationTest, FiftyMsDeadlineOnBlowUpAnswersWithinTwiceThat) {
   if (degraded->response != nullptr &&
       degraded->response->generation.has_value()) {
     const GenerationResult& generation = *degraded->response->generation;
-    EXPECT_EQ(testing_util::StructureErrors(generation.graph), "");
+    EXPECT_EQ(testing_util::StructureErrors(generation.graph, dataset_.catalog,
+                                            dataset_.schedule,
+                                            request.options.avoid_courses), "");
     EXPECT_EQ(testing_util::StatsErrors(generation.graph, generation.stats),
               "");
   }
@@ -222,7 +224,9 @@ TEST_F(DegradationTest, ExhaustedLadderServesBestPartialAnswer) {
   const GenerationResult& generation = *degraded->response->generation;
   EXPECT_TRUE(generation.termination.IsResourceExhausted());
   EXPECT_LE(generation.graph.num_nodes(), 201);
-  EXPECT_EQ(testing_util::StructureErrors(generation.graph), "");
+  EXPECT_EQ(testing_util::StructureErrors(generation.graph, dataset_.catalog,
+                                          dataset_.schedule,
+                                          request.options.avoid_courses), "");
   for (const DegradationRung& rung : degraded->report.rungs) {
     if (rung.attempted) {
       EXPECT_FALSE(rung.outcome.ok());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "catalog/catalog.h"
 #include "core/enrollment.h"
 #include "core/pruning.h"
 #include "requirements/expr_goal.h"
@@ -60,31 +63,33 @@ TEST(ExplorationEngineTest, FutureCourseExists) {
 
 TEST(ComputeOptionsTest, MatchesPaperDefinition) {
   Figure3Fixture fix;
-  ExplorationOptions options;
+  auto options = [&fix](const DynamicBitset& completed, Term term) {
+    return ComputeOptions(fix.catalog, fix.schedule.OfferedIn(term), completed,
+                          std::nullopt);
+  };
   DynamicBitset none = fix.catalog.NewCourseSet();
   // Y1 = {11A, 29A}: offered Fall'11, no prerequisites.
-  EXPECT_EQ(ComputeOptions(fix.catalog, fix.schedule, none, fix.fall11,
-                           options)
-                .ToIndices(),
+  EXPECT_EQ(options(none, fix.fall11).ToIndices(),
             (std::vector<int>{fix.c11a, fix.c29a}));
   // Spring'12 with 11A done: 21A unlocks.
   DynamicBitset with_11a = fix.catalog.NewCourseSet();
   with_11a.set(fix.c11a);
-  EXPECT_EQ(ComputeOptions(fix.catalog, fix.schedule, with_11a,
-                           fix.fall11 + 1, options)
-                .ToIndices(),
+  EXPECT_EQ(options(with_11a, fix.fall11 + 1).ToIndices(),
             std::vector<int>{fix.c21a});
   // Spring'12 with only 29A done: nothing (paper's n4).
   DynamicBitset with_29a = fix.catalog.NewCourseSet();
   with_29a.set(fix.c29a);
-  EXPECT_TRUE(ComputeOptions(fix.catalog, fix.schedule, with_29a,
-                             fix.fall11 + 1, options)
-                  .empty());
+  EXPECT_TRUE(options(with_29a, fix.fall11 + 1).empty());
   // Completed courses are never options again.
-  EXPECT_EQ(ComputeOptions(fix.catalog, fix.schedule, with_11a, fix.fall11,
-                           options)
-                .ToIndices(),
+  EXPECT_EQ(options(with_11a, fix.fall11).ToIndices(),
             std::vector<int>{fix.c29a});
+  // Nor are avoided ones.
+  DynamicBitset avoid = fix.catalog.NewCourseSet();
+  avoid.set(fix.c29a);
+  EXPECT_EQ(ComputeOptions(fix.catalog, fix.schedule.OfferedIn(fix.fall11),
+                           none, avoid)
+                .ToIndices(),
+            std::vector<int>{fix.c11a});
 }
 
 TEST(PruningOracleTest, TimeVerdictMatchesEquationOne) {

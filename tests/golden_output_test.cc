@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -187,11 +188,11 @@ const GoldenRun kGoldenRuns[] = {
     {"ranked-5sem-nodes1000", 0x09612b07b5ecb5a5ull,
      "{\"dead_end_paths\":0,\"edges_created\":999,\"goal_paths\":0,\"nodes_created\":1000,\"nodes_expanded\":9,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: node budget of 1000 reached"},
-    {"goal-5sem-memory65536", 0x1055acfe2654384dull,
-     "{\"dead_end_paths\":173,\"edges_created\":586,\"goal_paths\":268,\"nodes_created\":587,\"nodes_expanded\":536,\"pruned_availability\":446,\"pruned_time\":1784,\"pruned_total\":2230,\"runtime_seconds\":0,\"terminal_paths\":441}",
+    {"goal-5sem-memory65536", 0x40ccd4449953c6fcull,
+     "{\"dead_end_paths\":215,\"edges_created\":744,\"goal_paths\":355,\"nodes_created\":745,\"nodes_expanded\":692,\"pruned_availability\":533,\"pruned_time\":2273,\"pruned_total\":2806,\"runtime_seconds\":0,\"terminal_paths\":570}",
      "ResourceExhausted: memory budget of 65536 bytes reached"},
-    {"goal-5sem-memory1048576", 0x6827ec94c4748f2full,
-     "{\"dead_end_paths\":2552,\"edges_created\":9415,\"goal_paths\":5118,\"nodes_created\":9416,\"nodes_expanded\":9294,\"pruned_availability\":8622,\"pruned_time\":29191,\"pruned_total\":37813,\"runtime_seconds\":0,\"terminal_paths\":7670}",
+    {"goal-5sem-memory1048576", 0x201a711ec5622cb1ull,
+     "{\"dead_end_paths\":3100,\"edges_created\":11915,\"goal_paths\":6599,\"nodes_created\":11916,\"nodes_expanded\":11799,\"pruned_availability\":9933,\"pruned_time\":36158,\"pruned_total\":46091,\"runtime_seconds\":0,\"terminal_paths\":9699}",
      "ResourceExhausted: memory budget of 1048576 bytes reached"},
 };
 // clang-format on
@@ -260,10 +261,15 @@ void ExpectRun(const std::string& name, const std::string& export_json,
   ADD_FAILURE() << "no golden row named " << name;
 }
 
+/// `avoid` is the run's avoid set, from which (with the catalog and the
+/// schedule) the export derives each status's options.
 void ExpectGraph(const std::string& name, const Catalog& catalog,
-                 const Result<GenerationResult>& result) {
+                 const OfferingSchedule& schedule,
+                 const Result<GenerationResult>& result,
+                 const std::optional<DynamicBitset>& avoid = std::nullopt) {
   ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
-  ExpectRun(name, LearningGraphToJson(result->graph, catalog).Dump(),
+  ExpectRun(name,
+            LearningGraphToJson(result->graph, catalog, schedule, avoid).Dump(),
             result->stats, result->termination);
 }
 
@@ -307,11 +313,11 @@ TEST(GoldenOutputTest, Figure3) {
     options.limits.max_nodes = max_nodes;
     const std::string suffix =
         max_nodes == 0 ? "" : StrFormat("-nodes%d", max_nodes);
-    ExpectGraph("fig3-deadline" + suffix, fix.catalog,
+    ExpectGraph("fig3-deadline" + suffix, fix.catalog, fix.schedule,
                 GenerateDeadlineDrivenPaths(fix.catalog, fix.schedule,
                                             fix.FreshStudent(), fix.spring13,
                                             options));
-    ExpectGraph("fig3-goal" + suffix, fix.catalog,
+    ExpectGraph("fig3-goal" + suffix, fix.catalog, fix.schedule,
                 GenerateGoalDrivenPaths(fix.catalog, fix.schedule,
                                         fix.FreshStudent(), fix.spring13,
                                         **goal, options));
@@ -332,6 +338,7 @@ class GoldenBrandeisTest : public ::testing::Test {
   }
 
   static const Catalog& catalog() { return dataset().catalog; }
+  static const OfferingSchedule& schedule() { return dataset().schedule; }
 
   static EnrollmentStatus Start(int span) {
     return {data::StartTermForSpan(span), dataset().catalog.NewCourseSet()};
@@ -380,8 +387,9 @@ TEST_F(GoldenBrandeisTest, CompleteRunsAtZeroAndFourThreads) {
     ExplorationOptions options;
     options.num_threads = threads;
     const std::string suffix = StrFormat("-t%d", threads);
-    ExpectGraph("deadline-3sem" + suffix, catalog(), Deadline(3, options));
-    ExpectGraph("goal-4sem" + suffix, catalog(), Goal(4, options));
+    ExpectGraph("deadline-3sem" + suffix, catalog(), schedule(),
+                Deadline(3, options));
+    ExpectGraph("goal-4sem" + suffix, catalog(), schedule(), Goal(4, options));
   }
 }
 
@@ -391,13 +399,13 @@ TEST_F(GoldenBrandeisTest, LargeGraphs) {
   for (int threads : {0, 4}) {
     ExplorationOptions options;
     options.num_threads = threads;
-    ExpectGraph(StrFormat("deadline-4sem-t%d", threads), catalog(),
+    ExpectGraph(StrFormat("deadline-4sem-t%d", threads), catalog(), schedule(),
                 Deadline(4, options));
   }
   GoalDrivenConfig config;
   config.enable_time_pruning = false;
   config.enable_availability_pruning = false;
-  ExpectGraph("goal-4sem-no-pruning", catalog(),
+  ExpectGraph("goal-4sem-no-pruning", catalog(), schedule(),
               Goal(4, ExplorationOptions{}, config));
 }
 
@@ -405,25 +413,27 @@ TEST_F(GoldenBrandeisTest, GoalConfigurations) {
   ExplorationOptions options;
   GoalDrivenConfig config;
   config.enable_time_pruning = false;
-  ExpectGraph("goal-4sem-no-time", catalog(), Goal(4, options, config));
+  ExpectGraph("goal-4sem-no-time", catalog(), schedule(),
+              Goal(4, options, config));
   config = {};
   config.enable_availability_pruning = false;
-  ExpectGraph("goal-4sem-no-availability", catalog(),
+  ExpectGraph("goal-4sem-no-availability", catalog(), schedule(),
               Goal(4, options, config));
   config = {};
   config.enforce_min_selection = false;
-  ExpectGraph("goal-4sem-no-min-selection", catalog(),
+  ExpectGraph("goal-4sem-no-min-selection", catalog(), schedule(),
               Goal(4, options, config));
   config = {};
   config.cache_availability_checks = false;
-  ExpectGraph("goal-4sem-no-cache", catalog(), Goal(4, options, config));
+  ExpectGraph("goal-4sem-no-cache", catalog(), schedule(),
+              Goal(4, options, config));
 
   ExplorationOptions skip;
   skip.allow_voluntary_skip = true;
-  ExpectGraph("goal-4sem-voluntary-skip", catalog(), Goal(4, skip));
+  ExpectGraph("goal-4sem-voluntary-skip", catalog(), schedule(), Goal(4, skip));
   ExplorationOptions two;
   two.max_courses_per_term = 2;
-  ExpectGraph("goal-4sem-m2", catalog(), Goal(4, two));
+  ExpectGraph("goal-4sem-m2", catalog(), schedule(), Goal(4, two));
 
   auto parsed = expr::ParseBoolExpr(
       "(COSI11A and COSI29A and not COSI2A) or "
@@ -432,7 +442,7 @@ TEST_F(GoldenBrandeisTest, GoalConfigurations) {
   auto non_monotone = ExprGoal::Create(*parsed, catalog());
   ASSERT_TRUE(non_monotone.ok()) << non_monotone.status().ToString();
   ASSERT_FALSE((*non_monotone)->IsMonotone());
-  ExpectGraph("goal-4sem-non-monotone", catalog(),
+  ExpectGraph("goal-4sem-non-monotone", catalog(), schedule(),
               Goal(4, options, {}, non_monotone->get()));
 }
 
@@ -453,8 +463,9 @@ TEST_F(GoldenBrandeisTest, NodeBudgets) {
     options.limits.max_nodes = max_nodes;
     const std::string suffix =
         StrFormat("-nodes%lld", static_cast<long long>(max_nodes));
-    ExpectGraph("deadline-4sem" + suffix, catalog(), Deadline(4, options));
-    ExpectGraph("goal-5sem" + suffix, catalog(), Goal(5, options));
+    ExpectGraph("deadline-4sem" + suffix, catalog(), schedule(),
+                Deadline(4, options));
+    ExpectGraph("goal-5sem" + suffix, catalog(), schedule(), Goal(5, options));
     ExpectPaths("ranked-5sem" + suffix, catalog(),
                 Ranked(5, time, 10, options));
   }
@@ -468,20 +479,23 @@ TEST_F(GoldenBrandeisTest, AvoidedElective) {
   Result<DynamicBitset> avoided = catalog().CourseSetFromCodes({"COSI2A"});
   ASSERT_TRUE(avoided.ok()) << avoided.status().ToString();
   options.avoid_courses = *avoided;
-  ExpectGraph("deadline-3sem-avoid", catalog(), Deadline(3, options));
+  ExpectGraph("deadline-3sem-avoid", catalog(), schedule(),
+              Deadline(3, options), options.avoid_courses);
   for (int threads : {0, 4}) {
     options.num_threads = threads;
     ExpectGraph(StrFormat("goal-4sem-avoid-t%d", threads), catalog(),
-                Goal(4, options));
+                schedule(), Goal(4, options), options.avoid_courses);
   }
 }
 
+// A budget charges each node sizeof(LearningNode) plus its spilled bitset
+// words, so these rows change whenever the node's size does.
 TEST_F(GoldenBrandeisTest, MemoryBudgets) {
   for (size_t max_memory_bytes : {size_t{64} << 10, size_t{1} << 20}) {
     ExplorationOptions options;
     options.limits.max_memory_bytes = max_memory_bytes;
     ExpectGraph(StrFormat("goal-5sem-memory%zu", max_memory_bytes), catalog(),
-                Goal(5, options));
+                schedule(), Goal(5, options));
   }
 }
 

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/schedule.h"
 #include "graph/export.h"
 #include "graph/path.h"
 #include "tests/test_util.h"
@@ -39,21 +41,22 @@ class LearningGraphTest : public ::testing::Test {
 };
 
 TEST(LearningNodeLayoutTest, NodeFitsItsByteBudget) {
-  // Three 24-byte bitsets (X, Y and the inbound W), two costs, the term,
-  // the parent id and the child range: 105 bytes of fields, 112 padded.
-  static_assert(sizeof(LearningNode) <= 112);
-  EXPECT_LE(sizeof(LearningNode), 112u);
+  // Two 24-byte bitsets (X and the inbound W), two costs, the term, the
+  // parent id and the child range: 81 bytes of fields, 88 padded. The
+  // option set Y is derived when a status is expanded, not stored.
+  static_assert(sizeof(LearningNode) == 88);
+  EXPECT_EQ(sizeof(LearningNode), 88u);
 }
 
 TEST_F(LearningGraphTest, RootAndChildren) {
   LearningGraph graph;
   Term f12(Season::kFall, 2012);
-  NodeId root = graph.AddRoot(f12, Bits({}), Bits({0, 1}));
+  NodeId root = graph.AddRoot(f12, Bits({}));
   EXPECT_EQ(root, 0);
   EXPECT_EQ(graph.num_nodes(), 1);
   EXPECT_EQ(graph.root(), root);
 
-  NodeId child = graph.AddChild(root, Bits({0}), Bits({0}), Bits({2}), 1.5);
+  NodeId child = graph.AddChild(root, Bits({0}), Bits({0}), 1.5);
   EXPECT_EQ(graph.num_nodes(), 2);
   EXPECT_EQ(graph.num_edges(), 1);
   const LearningNode& node = graph.node(child);
@@ -72,17 +75,17 @@ TEST_F(LearningGraphTest, RootAndChildren) {
 
 TEST_F(LearningGraphTest, PathCostAccumulates) {
   LearningGraph graph;
-  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0}));
-  NodeId a = graph.AddChild(root, Bits({0}), Bits({0}), Bits({1}), 2.0);
-  NodeId b = graph.AddChild(a, Bits({1}), Bits({0, 1}), Bits({}), 3.0);
+  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
+  NodeId a = graph.AddChild(root, Bits({0}), Bits({0}), 2.0);
+  NodeId b = graph.AddChild(a, Bits({1}), Bits({0, 1}), 3.0);
   EXPECT_DOUBLE_EQ(graph.node(b).path_cost, 5.0);
 }
 
 TEST_F(LearningGraphTest, GoalAndLeafQueries) {
   LearningGraph graph;
-  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0}));
-  NodeId a = graph.AddChild(root, Bits({0}), Bits({0}), Bits({}));
-  NodeId b = graph.AddChild(root, Bits({1}), Bits({1}), Bits({}));
+  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
+  NodeId a = graph.AddChild(root, Bits({0}), Bits({0}));
+  NodeId b = graph.AddChild(root, Bits({1}), Bits({1}));
   graph.MarkGoal(b);
   EXPECT_EQ(graph.GoalNodes(), std::vector<NodeId>{b});
   EXPECT_EQ(graph.LeafNodes(), (std::vector<NodeId>{a, b}));
@@ -92,18 +95,18 @@ TEST_F(LearningGraphTest, GoalAndLeafQueries) {
 
 TEST_F(LearningGraphTest, MemoryUsageGrows) {
   LearningGraph graph;
-  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0}));
+  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
   size_t before = graph.MemoryUsage();
-  graph.AddChild(root, Bits({0}), Bits({0}), Bits({}));
+  graph.AddChild(root, Bits({0}), Bits({0}));
   EXPECT_GT(graph.MemoryUsage(), before);
 }
 
 TEST_F(LearningGraphTest, PathExtraction) {
   LearningGraph graph;
   Term f12(Season::kFall, 2012);
-  NodeId root = graph.AddRoot(f12, Bits({}), Bits({0, 1}));
-  NodeId mid = graph.AddChild(root, Bits({0, 1}), Bits({0, 1}), Bits({2}), 1);
-  NodeId leaf = graph.AddChild(mid, Bits({2}), Bits({0, 1, 2}), Bits({}), 1);
+  NodeId root = graph.AddRoot(f12, Bits({}));
+  NodeId mid = graph.AddChild(root, Bits({0, 1}), Bits({0, 1}), 1);
+  NodeId leaf = graph.AddChild(mid, Bits({2}), Bits({0, 1, 2}), 1);
 
   LearningPath path = LearningPath::FromGraph(graph, leaf);
   EXPECT_EQ(path.start_term(), f12);
@@ -120,7 +123,7 @@ TEST_F(LearningGraphTest, PathExtraction) {
 
 TEST_F(LearningGraphTest, PathOfRootIsEmpty) {
   LearningGraph graph;
-  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({0}), Bits({}));
+  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({0}));
   LearningPath path = LearningPath::FromGraph(graph, root);
   EXPECT_EQ(path.Length(), 0);
   EXPECT_EQ(path.FinalCompleted().ToIndices(), std::vector<int>{0});
@@ -128,8 +131,8 @@ TEST_F(LearningGraphTest, PathOfRootIsEmpty) {
 
 TEST_F(LearningGraphTest, DotExportMentionsNodesAndSelections) {
   LearningGraph graph;
-  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0}));
-  NodeId leaf = graph.AddChild(root, Bits({0}), Bits({0}), Bits({}));
+  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
+  NodeId leaf = graph.AddChild(root, Bits({0}), Bits({0}));
   graph.MarkGoal(leaf);
   std::string dot = LearningGraphToDot(graph, catalog_);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
@@ -141,22 +144,37 @@ TEST_F(LearningGraphTest, DotExportMentionsNodesAndSelections) {
 
 TEST_F(LearningGraphTest, JsonExportRoundTripsStructure) {
   LearningGraph graph;
-  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}),
-                              Bits({0, 1}));
-  graph.AddChild(root, Bits({1}), Bits({1}), Bits({}));
-  JsonValue doc = LearningGraphToJson(graph, catalog_);
+  const Term f12(Season::kFall, 2012);
+  NodeId root = graph.AddRoot(f12, Bits({}));
+  graph.AddChild(root, Bits({1}), Bits({1}));
+  OfferingSchedule schedule(catalog_.size());
+  ASSERT_TRUE(schedule.AddOffering(0, f12).ok());
+  ASSERT_TRUE(schedule.AddOffering(1, f12).ok());
+  ASSERT_TRUE(schedule.AddOffering(1, f12.Next()).ok());
+  JsonValue doc = LearningGraphToJson(graph, catalog_, schedule, std::nullopt);
   auto reparsed = JsonValue::Parse(doc.Dump());
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(reparsed->Get("nodes")->array().size(), 2u);
+  const JsonValue::Array nodes = reparsed->Get("nodes")->array();
+  ASSERT_EQ(nodes.size(), 2u);
   EXPECT_EQ(reparsed->Get("edges")->array().size(), 1u);
   auto edge = reparsed->Get("edges")->array()[0];
   EXPECT_EQ(*edge.Get("selection")->array()[0].GetString(), "B");
+  // Option sets are derived: offered in the node's term, not completed...
+  EXPECT_EQ(nodes[0].Get("options")->array().size(), 2u);
+  EXPECT_TRUE(nodes[1].Get("options")->array().empty());
+  // ...and not avoided.
+  JsonValue avoiding =
+      LearningGraphToJson(graph, catalog_, schedule, Bits({0}));
+  const Result<JsonValue> root_options =
+      avoiding.Get("nodes")->array()[0].Get("options");
+  ASSERT_EQ(root_options->array().size(), 1u);
+  EXPECT_EQ(*root_options->array()[0].GetString(), "B");
 }
 
 TEST_F(LearningGraphTest, PathJsonExport) {
   LearningGraph graph;
-  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0}));
-  NodeId leaf = graph.AddChild(root, Bits({0}), Bits({0}), Bits({}), 2.5);
+  NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
+  NodeId leaf = graph.AddChild(root, Bits({0}), Bits({0}), 2.5);
   LearningPath path = LearningPath::FromGraph(graph, leaf);
   JsonValue doc = LearningPathToJson(path, catalog_);
   EXPECT_EQ(*doc.Get("start_term")->GetString(), "Fall 2012");
@@ -192,7 +210,7 @@ TEST(ChunkedVectorTest, PushFillsAdoptedChunksBeforeAllocating) {
 LearningGraph ReferenceReplay(const LearningGraph& graph) {
   LearningGraph out;
   const LearningNode& root = graph.node(graph.root());
-  out.AddRoot(root.term, root.completed, root.options);
+  out.AddRoot(root.term, root.completed);
   if (root.is_goal) out.MarkGoal(0);
   std::vector<std::pair<NodeId, NodeId>> worklist{{graph.root(), 0}};
   while (!worklist.empty()) {
@@ -200,9 +218,9 @@ LearningGraph ReferenceReplay(const LearningGraph& graph) {
     worklist.pop_back();
     for (NodeId old_child : graph.node(old_id).out_edges) {
       const LearningNode& child = graph.node(old_child);
-      const NodeId id = out.AddChildWithPathCost(
-          new_id, child.selection, child.completed, child.options,
-          child.edge_cost, child.path_cost);
+      const NodeId id =
+          out.AddChildWithPathCost(new_id, child.selection, child.completed,
+                                   child.edge_cost, child.path_cost);
       if (child.is_goal) out.MarkGoal(id);
       worklist.emplace_back(old_child, id);
     }
@@ -218,7 +236,7 @@ TEST_F(LearningGraphTest, CanonicalizeMatchesReferenceReplay) {
   constexpr std::array<int, 4> kShardSizes = {1500, 0, 700, 2100};
   LearningGraph graph;
   graph.ConfigureShards(static_cast<int>(kShardSizes.size()));
-  graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0, 1, 2}));
+  graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
 
   struct Frontier {
     NodeId id;
@@ -250,8 +268,7 @@ TEST_F(LearningGraphTest, CanonicalizeMatchesReferenceReplay) {
       const double edge_cost = c + 0.5;
       LearningGraph::CreatedChild child = graph.AddChildTo(
           shard, parent.id, parent.node, std::move(selection),
-          std::move(completed), Bits({0, 1, 2}), edge_cost,
-          parent.node->path_cost + edge_cost);
+          std::move(completed), edge_cost, parent.node->path_cost + edge_cost);
       if (random.Bernoulli(0.1)) child.node->is_goal = true;
       frontier.push_back({child.id, child.node});
     }

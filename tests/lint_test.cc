@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "catalog/catalog.h"
+#include "catalog/schedule.h"
 #include "catalog/term.h"
 #include "graph/learning_graph.h"
 #include "tests/test_util.h"
@@ -837,11 +840,10 @@ class GraphInvariantsTest : public CheckTest {
   /// c 2, b 3 (a node's children are added back to back).
   LearningGraph MakeValidGraph() {
     LearningGraph graph;
-    NodeId root =
-        graph.AddRoot(Term(Season::kFall, 2012), Bits({}), Bits({0, 1}));
-    NodeId a = graph.AddChild(root, Bits({0}), Bits({0}), Bits({1, 2}));
-    graph.AddChild(root, Bits({1}), Bits({1}), Bits({0}));
-    graph.AddChild(a, Bits({1}), Bits({0, 1}), Bits({2}));
+    NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
+    NodeId a = graph.AddChild(root, Bits({0}), Bits({0}));
+    graph.AddChild(root, Bits({1}), Bits({1}));
+    graph.AddChild(a, Bits({1}), Bits({0, 1}));
     return graph;
   }
 };
@@ -878,18 +880,50 @@ TEST_F(GraphInvariantsTest, RejectsChildClaimingAnotherParent) {
 }
 
 TEST_F(GraphInvariantsTest, RejectsSelectionOutsideParentOptions) {
+  // Four courses without prerequisites: Fall 2012 offers 0 and 1, Spring
+  // 2013 offers 1 and 2, so the valid graph elects only available courses.
+  Catalog catalog;
+  for (const char* code : {"A", "B", "C", "D"}) {
+    Course course;
+    course.code = code;
+    ASSERT_TRUE(catalog.AddCourse(std::move(course)).ok());
+  }
+  ASSERT_TRUE(catalog.Finalize().ok());
+  OfferingSchedule schedule(catalog.size());
+  const Term fall12(Season::kFall, 2012);
+  for (CourseId course : {0, 1}) {
+    ASSERT_TRUE(schedule.AddOffering(course, fall12).ok());
+    ASSERT_TRUE(schedule.AddOffering(course + 1, fall12.Next()).ok());
+  }
   LearningGraph graph = MakeValidGraph();
-  LearningNode& child = LearningGraphTestPeer::MutableNode(graph, 1);
-  child.selection = Bits({3});  // 3 was never in the root's options
-  FailureMessage([&] { graph.CheckInvariants(); });
+  graph.CheckAvailability(catalog, schedule, std::nullopt);  // must not throw
+
+  // An avoided course is no option: node 2 elected course 1.
+  std::string message = FailureMessage(
+      [&] { graph.CheckAvailability(catalog, schedule, Bits({1})); });
+  EXPECT_NE(message.find("selection into node 2"), std::string::npos)
+      << message;
+
+  // Node 2 now elects course 3, which Fall 2012 does not offer. Its
+  // completed set follows (X_child = X_parent ∪ W still holds), so the
+  // structure stays sound and only availability is broken.
+  LearningNode& child = LearningGraphTestPeer::MutableNode(graph, 2);
+  child.selection = Bits({3});
+  child.completed = Bits({3});
+  graph.CheckInvariants();  // must not throw
+  message = FailureMessage(
+      [&] { graph.CheckAvailability(catalog, schedule, std::nullopt); });
+  EXPECT_NE(message.find("elects courses outside the parent's options"),
+            std::string::npos)
+      << message;
 }
 
 TEST_F(GraphInvariantsTest, AddingToAClosedChildRangeFails) {
   LearningGraph graph = MakeValidGraph();
   // Node 3 (node 1's child) was created after the root's children, so the
   // root's range is closed.
-  std::string message = FailureMessage(
-      [&] { graph.AddChild(0, Bits({0, 1}), Bits({0, 1}), Bits({})); });
+  std::string message =
+      FailureMessage([&] { graph.AddChild(0, Bits({0, 1}), Bits({0, 1})); });
   EXPECT_NE(message.find("back to back"), std::string::npos) << message;
 }
 

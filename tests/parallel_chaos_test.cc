@@ -15,8 +15,11 @@
 
 #include "core/deadline_generator.h"
 #include "core/goal_generator.h"
+#include "core/ranked_generator.h"
+#include "core/ranking.h"
 #include "data/brandeis_cs.h"
 #include "exec/worker_pool.h"
+#include "graph/export.h"
 #include "tests/test_util.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
@@ -64,7 +67,9 @@ TEST(ParallelChaosTest, SeedSweepWithFaultsArmed) {
     ASSERT_TRUE(generated.ok()) << generated.status().ToString();
     EXPECT_TRUE(IsCleanOutcome(generated->termination))
         << generated->termination.ToString();
-    ASSERT_EQ(testing_util::StructureErrors(generated->graph), "");
+    ASSERT_EQ(testing_util::StructureErrors(generated->graph, dataset.catalog,
+                                            dataset.schedule,
+                                            options.avoid_courses), "");
     ASSERT_EQ(testing_util::StatsErrors(generated->graph, generated->stats),
               "");
   }
@@ -89,7 +94,9 @@ TEST(ParallelChaosTest, AllocationFaultsStopAllWorkers) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->termination.IsResourceExhausted())
       << result->termination.ToString();
-  EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+  EXPECT_EQ(testing_util::StructureErrors(result->graph, dataset.catalog,
+                                          dataset.schedule,
+                                          options.avoid_courses), "");
 }
 
 // The merge after a parallel run moves nodes that already exist, so it
@@ -116,6 +123,83 @@ TEST(ParallelChaosTest, CanonicalizeDrawsNoAllocationFaults) {
   EXPECT_EQ(scope.injector().decisions(kFaultSiteGraphAlloc),
             result->stats.nodes_created - 1);
   EXPECT_FALSE(result->graph.allocation_failed());
+}
+
+// A status's option set is derived when it is expanded, through the live
+// schedule read the `schedule/churn` seam covers, and never stored: a
+// leaf never pays for it. Printing or checking a finished graph derives
+// the sets again from the recorded offerings, which draws no decision.
+// Armed at 1e-12, the seam never fires but counts every read.
+TEST(ParallelChaosTest, OptionSetsAreDerivedOncePerExpandedStatus) {
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  const Term end = data::EvaluationEndTerm();
+  const EnrollmentStatus start{data::StartTermForSpan(4),
+                               dataset.catalog.NewCourseSet()};
+  FaultConfig config;
+  config.seed = 23;
+  config.site_probability[std::string(kFaultSiteScheduleChurn)] = 1e-12;
+  // The engine's suffix unions read each of the four semesters once.
+  constexpr int64_t kEngineReads = 4;
+
+  // The run drew `expected` decisions, and checking (and, for a small
+  // graph, printing) `graph` adds none. The deadline graph is not printed:
+  // its JSON document alone would take about 1 GB.
+  auto expect_reads = [&](ScopedFaultInjection& scope,
+                          const LearningGraph& graph,
+                          const ExplorationOptions& options,
+                          int64_t expected) {
+    EXPECT_EQ(scope.injector().decisions(kFaultSiteScheduleChurn), expected);
+    if (graph.num_nodes() < 1000) {
+      (void)LearningGraphToJson(graph, dataset.catalog, dataset.schedule,
+                                options.avoid_courses);
+    }
+    EXPECT_EQ(testing_util::StructureErrors(graph, dataset.catalog,
+                                            dataset.schedule,
+                                            options.avoid_courses), "");
+    EXPECT_EQ(scope.injector().decisions(kFaultSiteScheduleChurn), expected);
+    EXPECT_EQ(scope.injector().fired(kFaultSiteScheduleChurn), 0);
+  };
+
+  {
+    // Nothing is pruned, so every status left of the end semester is
+    // internal: one read each.
+    ScopedFaultInjection scope(config);
+    const ExplorationOptions options;
+    auto result = GenerateDeadlineDrivenPaths(
+        dataset.catalog, dataset.schedule, start, end, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(result->termination.ok()) << result->termination.ToString();
+    const int64_t internal =
+        result->graph.num_nodes() -
+        static_cast<int64_t>(result->graph.LeafNodes().size());
+    EXPECT_EQ(internal, 187876 - 178251);
+    expect_reads(scope, result->graph, options, internal + kEngineReads);
+  }
+
+  // With a goal, a status is also read when all its children are pruned.
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ScopedFaultInjection scope(config);
+    ExplorationOptions options;
+    options.num_threads = threads;
+    auto result = GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
+                                          start, end, *dataset.cs_major,
+                                          options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(result->termination.ok()) << result->termination.ToString();
+    expect_reads(scope, result->graph, options, 318);
+  }
+
+  {
+    ScopedFaultInjection scope(config);
+    TimeRanking time;
+    auto result = GenerateRankedPaths(dataset.catalog, dataset.schedule,
+                                      start, end, *dataset.cs_major, time,
+                                      /*k=*/10, ExplorationOptions{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(result->termination.ok()) << result->termination.ToString();
+    EXPECT_EQ(scope.injector().decisions(kFaultSiteScheduleChurn), 318);
+  }
 }
 
 // Cancellation raced from another thread at staggered delays: the run must
@@ -145,7 +229,9 @@ TEST(ParallelChaosTest, MidFlightCancellationLeavesCoherentGraphs) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(result->termination.ok() || result->termination.IsCancelled())
         << result->termination.ToString();
-    EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+    EXPECT_EQ(testing_util::StructureErrors(result->graph, dataset.catalog,
+                                            dataset.schedule,
+                                            options.avoid_courses), "");
     EXPECT_EQ(testing_util::StatsErrors(result->graph, result->stats), "");
   }
 }
@@ -166,7 +252,9 @@ TEST(ParallelChaosTest, DeadlineDrivenSurvivesFaultSweep) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(IsCleanOutcome(result->termination))
         << result->termination.ToString();
-    EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+    EXPECT_EQ(testing_util::StructureErrors(result->graph, fixture.catalog,
+                                            fixture.schedule,
+                                            options.avoid_courses), "");
     EXPECT_EQ(testing_util::StatsErrors(result->graph, result->stats), "");
   }
 }

@@ -43,7 +43,9 @@ TEST(ParallelDeterminismTest, DeadlineDrivenMatchesSerialAtEveryThreadCount) {
                                             fixture.spring13, serial_options);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(serial->termination.ok()) << serial->termination.ToString();
-  ASSERT_EQ(testing_util::StructureErrors(serial->graph), "");
+  ASSERT_EQ(testing_util::StructureErrors(serial->graph, fixture.catalog,
+                                          fixture.schedule,
+                                          serial_options.avoid_courses), "");
 
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("threads " + std::to_string(threads));
@@ -128,7 +130,9 @@ TEST(ParallelBudgetTest, NodeBudgetYieldsWellFormedPartialGraph) {
   EXPECT_TRUE(result->termination.IsResourceExhausted())
       << result->termination.ToString();
   EXPECT_GE(result->stats.nodes_created, 2000);
-  EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+  EXPECT_EQ(testing_util::StructureErrors(result->graph, dataset.catalog,
+                                          dataset.schedule,
+                                          options.avoid_courses), "");
   EXPECT_EQ(testing_util::StatsErrors(result->graph, result->stats), "");
 }
 
@@ -150,7 +154,9 @@ TEST(ParallelBudgetTest, CancellationStopsAllWorkersCleanly) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->termination.IsCancelled())
       << result->termination.ToString();
-  EXPECT_EQ(testing_util::StructureErrors(result->graph), "");
+  EXPECT_EQ(testing_util::StructureErrors(result->graph, dataset.catalog,
+                                          dataset.schedule,
+                                          options.avoid_courses), "");
   EXPECT_EQ(testing_util::StatsErrors(result->graph, result->stats), "");
 }
 

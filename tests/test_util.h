@@ -2,6 +2,7 @@
 #define COURSENAV_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,8 +79,14 @@ struct Figure3Fixture {
 ///     a child range leads back out of that node);
 ///   - child state is derived from the parent: `term == parent.term.Next()`,
 ///     `completed == parent.completed | selection`, and the selection was
-///     actually available (`selection ⊆ parent.options`).
-inline std::string StructureErrors(const LearningGraph& graph) {
+///     actually available (`selection ⊆ Y(parent)`). The graph stores no
+///     option sets, so `Y(parent)` is derived from `catalog`, the recorded
+///     offerings of `schedule` (a read that draws no churn decision) and
+///     the run's `avoid` set.
+inline std::string StructureErrors(const LearningGraph& graph,
+                                   const Catalog& catalog,
+                                   const OfferingSchedule& schedule,
+                                   const std::optional<DynamicBitset>& avoid) {
   if (graph.num_nodes() == 0) {
     return graph.num_edges() == 0 ? "" : "edges without nodes";
   }
@@ -130,7 +137,10 @@ inline std::string StructureErrors(const LearningGraph& graph) {
     if (node.term != parent.term.Next()) {
       return where + "term is not the semester after its parent's";
     }
-    if (!node.selection.IsSubsetOf(parent.options)) {
+    const DynamicBitset parent_options = ComputeOptions(
+        catalog, schedule.OfferedInRange(parent.term, parent.term),
+        parent.completed, avoid);
+    if (!node.selection.IsSubsetOf(parent_options)) {
       return where + "selection not available in the parent's semester";
     }
     DynamicBitset expected = parent.completed;
@@ -169,7 +179,8 @@ inline std::string StatsErrors(const LearningGraph& graph,
 
 /// Field-by-field graph comparison; returns a description of the first
 /// difference, or "" when the graphs are identical (ids, bitsets, costs —
-/// everything a serializer would write). This is the workhorse of the
+/// everything a serializer would write; a status's option set is a function
+/// of its term and completed set, both compared). This is the workhorse of the
 /// byte-identity contracts: serial vs parallel (tests/parallel_test.cc)
 /// and legacy facade vs planner pipeline (tests/plan_test.cc).
 inline std::string GraphDifference(const LearningGraph& a,
@@ -190,7 +201,6 @@ inline std::string GraphDifference(const LearningGraph& a,
     if (na.term != nb.term) return where + "terms differ";
     if (na.parent != nb.parent) return where + "parents differ";
     if (na.completed != nb.completed) return where + "completed sets differ";
-    if (na.options != nb.options) return where + "option sets differ";
     if (na.selection != nb.selection) {
       return where + "inbound selections differ";
     }

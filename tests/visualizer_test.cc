@@ -71,10 +71,16 @@ TEST(VisualizerTest, RenderStatusShowsCompletedAndOptions) {
       fix.catalog, fix.schedule, fix.FreshStudent(), fix.spring13, options);
   ASSERT_TRUE(result.ok());
   std::string rendered =
-      RenderStatus(result->graph, result->graph.root(), fix.catalog);
+      RenderStatus(result->graph, result->graph.root(), fix.catalog,
+                   fix.schedule, options.avoid_courses);
   EXPECT_NE(rendered.find("Fall 2011"), std::string::npos);
   EXPECT_NE(rendered.find("completed {}"), std::string::npos);
   EXPECT_NE(rendered.find("options {11A, 29A}"), std::string::npos);
+  // The options are derived, so an avoided course drops out of them.
+  EXPECT_NE(RenderStatus(result->graph, result->graph.root(), fix.catalog,
+                         fix.schedule, *fix.catalog.CourseSetFromCodes({"29A"}))
+                .find("options {11A}"),
+            std::string::npos);
 }
 
 TEST(StatsTest, ToStringIncludesEverything) {

@@ -372,7 +372,9 @@ Status EmitGeneration(const FlagSet& flags, const CommonArgs& common,
                     .c_str());
   } else if (format == "json") {
     std::printf("%s\n",
-                LearningGraphToJson(result.graph, *common.catalog)
+                LearningGraphToJson(result.graph, *common.catalog,
+                                    *common.schedule,
+                                    common.options.avoid_courses)
                     .Dump(2)
                     .c_str());
   } else if (format == "dot") {
@@ -628,9 +630,9 @@ Status RunCount(const FlagSet& flags) {
 Status RunOptions(const FlagSet& flags) {
   COURSENAV_ASSIGN_OR_RETURN(CommonArgs common,
                              LoadCommon(flags, /*need_goal=*/false));
-  DynamicBitset options = ComputeOptions(*common.catalog, *common.schedule,
-                                         common.start.completed,
-                                         common.start.term, common.options);
+  DynamicBitset options = ComputeOptions(
+      *common.catalog, common.schedule->OfferedIn(common.start.term),
+      common.start.completed, common.options.avoid_courses);
   std::printf("options in %s: %s\n", common.start.term.ToString().c_str(),
               common.catalog->CourseSetToString(options).c_str());
   return Status::OK();
