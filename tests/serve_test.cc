@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "data/brandeis_cs.h"
+#include "graph/export.h"
+#include "plan/executor.h"
+#include "plan/request.h"
 #include "serve/admission.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -416,6 +419,61 @@ TEST(ServerTest, DegradeOffYieldsTimeoutWithPartialSummary) {
   EXPECT_EQ(response.outcome, ResponseOutcome::kTimeout);
   EXPECT_FALSE(response.degradation.has_value());
   EXPECT_TRUE(server.Drain(5.0).ok());
+}
+
+TEST(ServerTest, FullPayloadDerivesOptionsWithTheRequestsAvoidSet) {
+  // COSI11A runs every term and needs nothing, so it is among the root's
+  // options unless the request avoids it.
+  JsonValue doc = TinyRequestDoc();
+  JsonValue::Object request_object = doc.object();
+  JsonValue::Object options = request_object.at("options").object();
+  options["avoid"] = JsonValue(JsonValue::Array{JsonValue("COSI11A")});
+  request_object["options"] = JsonValue(std::move(options));
+  doc = JsonValue(std::move(request_object));
+
+  ExplorationServer server(&Dataset().catalog, &Dataset().schedule);
+  server.Start();
+  std::string payload = MakeRequestEnvelope("alice", "avoid-1", 5000.0, doc,
+                                            std::nullopt,
+                                            /*full_payload=*/true)
+                            .Dump();
+  ResponseEnvelope response = server.HandleRequest(payload);
+  ASSERT_EQ(response.outcome, ResponseOutcome::kOk)
+      << response.status.ToString();
+  Result<JsonValue> graph = response.result.Get("graph");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_TRUE(server.Drain(5.0).ok());
+
+  Result<JsonValue> nodes = graph->Get("nodes");
+  ASSERT_TRUE(nodes.ok());
+  ASSERT_FALSE(nodes->array().empty());
+  for (const JsonValue& node : nodes->array()) {
+    for (const JsonValue& code : node.object().at("options").array()) {
+      EXPECT_NE(code.GetString().value(), "COSI11A");
+    }
+  }
+
+  // The payload is the export of the same run with the request's avoid set,
+  // and that set changes it.
+  Result<ExplorationRequest> request =
+      ExplorationRequestFromJson(doc, Dataset().catalog);
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  ASSERT_TRUE(request->options.avoid_courses.has_value());
+  Result<ExplorationResponse> direct =
+      plan::Execute(Dataset().catalog, Dataset().schedule, *request);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_TRUE(direct->generation.has_value());
+  const LearningGraph& run = direct->generation->graph;
+  const std::string avoiding =
+      LearningGraphToJson(run, Dataset().catalog, Dataset().schedule,
+                          request->options.avoid_courses)
+          .Dump();
+  const std::string not_avoiding =
+      LearningGraphToJson(run, Dataset().catalog, Dataset().schedule,
+                          std::nullopt)
+          .Dump();
+  EXPECT_EQ(graph->Dump(), avoiding);
+  EXPECT_NE(graph->Dump(), not_avoiding);
 }
 
 TEST(ServerTest, ShutdownCancelsInflightWork) {

@@ -345,7 +345,10 @@ Result<CommonArgs> LoadCommon(const FlagSet& flags, bool need_goal) {
   return common;
 }
 
+/// Renders a materialized answer to `request`, the request that ran: the
+/// JSON form derives each status's options with its avoid set.
 Status EmitGeneration(const FlagSet& flags, const CommonArgs& common,
+                      const ExplorationRequest& request,
                       const GenerationResult& result) {
   COURSENAV_ASSIGN_OR_RETURN(std::string format,
                              flags.GetString("format", "summary"));
@@ -374,7 +377,7 @@ Status EmitGeneration(const FlagSet& flags, const CommonArgs& common,
     std::printf("%s\n",
                 LearningGraphToJson(result.graph, *common.catalog,
                                     *common.schedule,
-                                    common.options.avoid_courses)
+                                    request.options.avoid_courses)
                     .Dump(2)
                     .c_str());
   } else if (format == "dot") {
@@ -437,6 +440,7 @@ Status EmitCount(const CountingResult& counted) {
 /// Output path for --degrade: the DegradationReport first, then whatever
 /// payload survived the ladder (graph, ranked paths, or a bare count).
 Status EmitDegraded(const FlagSet& flags, const CommonArgs& common,
+                    const ExplorationRequest& request,
                     const DegradedResponse& degraded) {
   COURSENAV_ASSIGN_OR_RETURN(bool json_stats, WantJsonStats(flags));
   if (json_stats) {
@@ -448,7 +452,8 @@ Status EmitDegraded(const FlagSet& flags, const CommonArgs& common,
     return EmitCount(*degraded.count);
   }
   if (degraded.response->generation.has_value()) {
-    return EmitGeneration(flags, common, *degraded.response->generation);
+    return EmitGeneration(flags, common, request,
+                          *degraded.response->generation);
   }
   if (degraded.response->ranked.has_value()) {
     const RankedResult& ranked = *degraded.response->ranked;
@@ -479,12 +484,12 @@ Status RunExplore(const FlagSet& flags) {
     COURSENAV_ASSIGN_OR_RETURN(
         DegradedResponse degraded,
         ExploreWithDegradation(navigator, request));
-    return EmitDegraded(flags, common, degraded);
+    return EmitDegraded(flags, common, request, degraded);
   }
   COURSENAV_ASSIGN_OR_RETURN(
       std::shared_ptr<const ExplorationResponse> response,
       navigator.Explore(request));
-  return EmitGeneration(flags, common, *response->generation);
+  return EmitGeneration(flags, common, request, *response->generation);
 }
 
 Status RunGoal(const FlagSet& flags) {
@@ -502,12 +507,12 @@ Status RunGoal(const FlagSet& flags) {
     COURSENAV_ASSIGN_OR_RETURN(
         DegradedResponse degraded,
         ExploreWithDegradation(navigator, request));
-    return EmitDegraded(flags, common, degraded);
+    return EmitDegraded(flags, common, request, degraded);
   }
   COURSENAV_ASSIGN_OR_RETURN(
       std::shared_ptr<const ExplorationResponse> response,
       navigator.Explore(request));
-  return EmitGeneration(flags, common, *response->generation);
+  return EmitGeneration(flags, common, request, *response->generation);
 }
 
 Status RunTopK(const FlagSet& flags) {
@@ -566,7 +571,7 @@ Status RunTopK(const FlagSet& flags) {
     COURSENAV_ASSIGN_OR_RETURN(
         DegradedResponse degraded,
         ExploreWithDegradation(navigator, request));
-    return EmitDegraded(flags, common, degraded);
+    return EmitDegraded(flags, common, request, degraded);
   }
   COURSENAV_ASSIGN_OR_RETURN(
       std::shared_ptr<const ExplorationResponse> response,
@@ -598,7 +603,7 @@ Status RunRequest(const FlagSet& flags) {
     COURSENAV_ASSIGN_OR_RETURN(
         DegradedResponse degraded,
         ExploreWithDegradation(navigator, request));
-    return EmitDegraded(flags, common, degraded);
+    return EmitDegraded(flags, common, request, degraded);
   }
   COURSENAV_ASSIGN_OR_RETURN(
       std::shared_ptr<const ExplorationResponse> response,
@@ -606,7 +611,7 @@ Status RunRequest(const FlagSet& flags) {
   if (response->ranked.has_value()) {
     return EmitRanked(flags, common, *response);
   }
-  return EmitGeneration(flags, common, *response->generation);
+  return EmitGeneration(flags, common, request, *response->generation);
 }
 
 Status RunCount(const FlagSet& flags) {
