@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "catalog/schedule.h"
 #include "util/string_util.h"
 
 namespace coursenav {
@@ -147,6 +148,15 @@ DynamicBitset ComputeOptions(const Catalog& catalog,
     if (prereq.IsAlwaysTrue() || prereq.Eval(completed)) eligible.set(id);
   });
   return eligible;
+}
+
+DynamicBitset RecordedOptions(const Catalog& catalog,
+                              const OfferingSchedule& schedule, Term term,
+                              const DynamicBitset& completed,
+                              const std::optional<DynamicBitset>& avoid) {
+  // A one-term range reads the recorded set; OfferedIn is the churn seam.
+  return ComputeOptions(catalog, schedule.OfferedInRange(term, term),
+                        completed, avoid);
 }
 
 }  // namespace coursenav

@@ -8,11 +8,14 @@
 #include <vector>
 
 #include "catalog/course.h"
+#include "catalog/term.h"
 #include "expr/compiled_expr.h"
 #include "util/bitset.h"
 #include "util/result.h"
 
 namespace coursenav {
+
+class OfferingSchedule;
 
 /// The set of courses `C` offered to students, with interned ids and
 /// compiled prerequisite programs.
@@ -93,12 +96,21 @@ class Catalog {
 /// Y is a pure function of the semester and the completed set, so no
 /// status stores it. The expansion passes the schedule's live
 /// `OfferedIn(s)` read, which the `schedule/churn` fault seam covers;
-/// exports and checks pass the recorded offerings (`OfferedInRange(s, s)`),
-/// which draw no churn decision.
+/// readers of a finished graph call `RecordedOptions` instead.
 DynamicBitset ComputeOptions(const Catalog& catalog,
                              const DynamicBitset& offered,
                              const DynamicBitset& completed,
                              const std::optional<DynamicBitset>& avoid);
+
+/// `ComputeOptions` over the offerings `schedule` records for `term`, read
+/// without drawing a `schedule/churn` decision: what exports and checks of
+/// a finished graph print or test. Churn only ever withdraws a course, so
+/// this set contains every churned read the run saw, and it does not
+/// depend on whether a fault injector is armed.
+DynamicBitset RecordedOptions(const Catalog& catalog,
+                              const OfferingSchedule& schedule, Term term,
+                              const DynamicBitset& completed,
+                              const std::optional<DynamicBitset>& avoid);
 
 }  // namespace coursenav
 

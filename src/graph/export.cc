@@ -57,8 +57,7 @@ JsonValue LearningGraphToJson(const LearningGraph& graph,
     obj["term"] = JsonValue(node.term.ToString());
     obj["completed"] = CodesArray(node.completed, catalog);
     obj["options"] = CodesArray(
-        ComputeOptions(catalog, schedule.OfferedInRange(node.term, node.term),
-                       node.completed, avoid),
+        RecordedOptions(catalog, schedule, node.term, node.completed, avoid),
         catalog);
     obj["is_goal"] = JsonValue(node.is_goal);
     nodes.emplace_back(std::move(obj));

@@ -23,10 +23,9 @@ std::string LearningGraphToDot(const LearningGraph& graph,
                                const Catalog& catalog);
 
 /// JSON document with "nodes" and "edges" arrays. Each node lists its
-/// option set, which the graph does not store: it is derived from
-/// `catalog`, the schedule's recorded offerings (no `schedule/churn`
-/// decision is drawn, so the export is deterministic) and the run's `avoid`
-/// set.
+/// option set, which the graph does not store: `RecordedOptions` derives it
+/// from `catalog`, `schedule` and `avoid`, which must be the avoid set of
+/// the request that built `graph`.
 JsonValue LearningGraphToJson(const LearningGraph& graph,
                               const Catalog& catalog,
                               const OfferingSchedule& schedule,

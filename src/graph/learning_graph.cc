@@ -210,9 +210,8 @@ void LearningGraph::CheckAvailability(
       const LearningNode& parent = shard.nodes[i];
       if (parent.out_edges.empty()) continue;
       // Derived once per parent, for all of its children.
-      const DynamicBitset options = ComputeOptions(
-          catalog, schedule.OfferedInRange(parent.term, parent.term),
-          parent.completed, avoid);
+      const DynamicBitset options = RecordedOptions(
+          catalog, schedule, parent.term, parent.completed, avoid);
       for (NodeId child : parent.out_edges) {
         CN_CHECK(node(child).selection.IsSubsetOf(options))
             << "selection into node " << child

@@ -305,9 +305,8 @@ class LearningGraph {
 
   /// Availability validator: aborts via CN_CHECK unless every selection
   /// was available, `W ⊆ Y(parent)`. The graph stores no option sets, so
-  /// `Y(parent)` is derived from `catalog`, the schedule's recorded
-  /// offerings (a read that draws no `schedule/churn` decision, and a
-  /// superset of any churned read the run saw) and the run's `avoid` set.
+  /// `RecordedOptions` derives `Y(parent)` from `catalog`, `schedule` and
+  /// the run's `avoid` set.
   /// O(nodes); the executor runs it after every run in dcheck builds.
   void CheckAvailability(const Catalog& catalog,
                          const OfferingSchedule& schedule,

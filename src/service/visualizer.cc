@@ -63,8 +63,8 @@ std::string RenderStatus(const LearningGraph& graph, NodeId node,
                          const OfferingSchedule& schedule,
                          const std::optional<DynamicBitset>& avoid) {
   const LearningNode& n = graph.node(node);
-  const DynamicBitset options = ComputeOptions(
-      catalog, schedule.OfferedInRange(n.term, n.term), n.completed, avoid);
+  const DynamicBitset options =
+      RecordedOptions(catalog, schedule, n.term, n.completed, avoid);
   return StrFormat("%s: completed %s, options %s%s",
                    n.term.ToString().c_str(),
                    catalog.CourseSetToString(n.completed).c_str(),

@@ -32,9 +32,9 @@ std::string RenderPaths(const std::vector<LearningPath>& paths,
 std::string RenderGraphSummary(const LearningGraph& graph,
                                const ExplorationStats& stats);
 
-/// Renders a single node's enrollment status, with its option set derived
-/// from `catalog`, the schedule's recorded offerings and the run's `avoid`
-/// set (the graph stores none).
+/// Renders a single node's enrollment status, with its option set
+/// (`RecordedOptions` of `catalog`, `schedule` and the run's `avoid` set;
+/// the graph stores none).
 std::string RenderStatus(const LearningGraph& graph, NodeId node,
                          const Catalog& catalog,
                          const OfferingSchedule& schedule,

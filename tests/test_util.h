@@ -80,9 +80,8 @@ struct Figure3Fixture {
 ///   - child state is derived from the parent: `term == parent.term.Next()`,
 ///     `completed == parent.completed | selection`, and the selection was
 ///     actually available (`selection ⊆ Y(parent)`). The graph stores no
-///     option sets, so `Y(parent)` is derived from `catalog`, the recorded
-///     offerings of `schedule` (a read that draws no churn decision) and
-///     the run's `avoid` set.
+///     option sets, so `RecordedOptions` derives `Y(parent)` from
+///     `catalog`, `schedule` and the run's `avoid` set.
 inline std::string StructureErrors(const LearningGraph& graph,
                                    const Catalog& catalog,
                                    const OfferingSchedule& schedule,
@@ -137,9 +136,8 @@ inline std::string StructureErrors(const LearningGraph& graph,
     if (node.term != parent.term.Next()) {
       return where + "term is not the semester after its parent's";
     }
-    const DynamicBitset parent_options = ComputeOptions(
-        catalog, schedule.OfferedInRange(parent.term, parent.term),
-        parent.completed, avoid);
+    const DynamicBitset parent_options = RecordedOptions(
+        catalog, schedule, parent.term, parent.completed, avoid);
     if (!node.selection.IsSubsetOf(parent_options)) {
       return where + "selection not available in the parent's semester";
     }
