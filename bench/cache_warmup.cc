@@ -245,12 +245,12 @@ void Run(const bench::BenchArgs& args) {
       "warm hit rate: %.1f%% (%lld/%lld)\n"
       "hits are the cold answer, equal to a direct run: %s at 1 thread, "
       "%s at 4 threads\n"
-      "tiers: %zu plans, %zu results (%zu bytes), %lld evictions\n",
+      "tiers: %zu results (%zu bytes), %lld evictions\n",
       cold_per_request, warm_per_request, fleet_speedup, hit_rate * 100.0,
       static_cast<long long>(warm_hits),
       static_cast<long long>(warm_requests),
       identical_1_thread ? "yes" : "NO", identical_4_threads ? "yes" : "NO",
-      stats.plan_entries, stats.result_entries, stats.result_bytes,
+      stats.result_entries, stats.result_bytes,
       static_cast<long long>(stats.evictions));
 
   JsonValue::Object summary;
@@ -265,7 +265,6 @@ void Run(const bench::BenchArgs& args) {
   summary["byte_identical_4_threads"] = identical_4_threads;
   summary["result_hits"] = stats.result_hits;
   summary["result_misses"] = stats.result_misses;
-  summary["plan_hits"] = stats.plan_hits;
   summary["result_bytes"] = static_cast<int64_t>(stats.result_bytes);
   report.AddRow(std::move(summary));
 

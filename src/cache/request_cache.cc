@@ -32,8 +32,7 @@ std::string TokenHex(uint64_t value) {
 /// every execution-mechanical field neutralized —
 ///   - num_threads: the determinism contract makes complete output
 ///     byte-identical at every thread count, so thread count is not part
-///     of *what* is computed (the plan tier re-keys on it separately,
-///     since the serial/parallel lowering decision does depend on it);
+///     of *what* is computed;
 ///   - the cancel token and wall-clock budget: they bound *whether* a run
 ///     finishes, never what a finished run contains, and only finished
 ///     runs are cached. Deterministic budgets (max_nodes, max_memory_bytes)
@@ -94,9 +93,6 @@ Result<CacheOutcome> ParseCacheOutcome(std::string_view name) {
 
 RequestCache::RequestCache(CacheConfig config)
     : config_(config),
-      plan_hits_(obs::GlobalMetrics().GetCounter(obs::kMetricCachePlanHits)),
-      plan_misses_(
-          obs::GlobalMetrics().GetCounter(obs::kMetricCachePlanMisses)),
       result_hits_(
           obs::GlobalMetrics().GetCounter(obs::kMetricCacheResultHits)),
       result_misses_(
@@ -158,45 +154,7 @@ Result<std::shared_ptr<const ExplorationResponse>> RequestCache::Execute(
   }
   Bump(tallies_.result_misses, result_misses_);
   SetOutcome(outcome, CacheOutcome::kMiss);
-
-  // Plan tier. The lowering decision depends on the canonical request plus
-  // the requested thread count, so that re-keys here.
-  const std::string plan_key =
-      result_key + "|threads=" + std::to_string(request.options.num_threads);
-  std::optional<plan::ExplorationPlan> plan;
-  {
-    MutexLock lock(plan_mu_);
-    auto it = plans_.index.find(plan_key);
-    if (it != plans_.index.end()) {
-      plans_.order.splice(plans_.order.begin(), plans_.order, it->second);
-      plan = it->second->second;
-    }
-  }
   lookup_span.reset();
-  if (plan.has_value()) {
-    Bump(tallies_.plan_hits, plan_hits_);
-    // The cached plan was lowered from a canonically identical request;
-    // substitute the live one so its budgets and cancel token apply.
-    plan->request = request;
-  } else {
-    Bump(tallies_.plan_misses, plan_misses_);
-    Result<plan::ExplorationPlan> lowered = [&request] {
-      obs::ScopedSpan span(obs::kSpanPlanLower);
-      return plan::Planner::Lower(request);
-    }();
-    COURSENAV_RETURN_IF_ERROR(lowered.status());
-    plan = std::move(*lowered);
-    MutexLock lock(plan_mu_);
-    if (plans_.index.find(plan_key) == plans_.index.end()) {
-      plans_.order.emplace_front(plan_key, *plan);
-      plans_.index.emplace(plan_key, plans_.order.begin());
-      while (plans_.order.size() > config_.plan_capacity) {
-        plans_.index.erase(plans_.order.back().first);
-        plans_.order.pop_back();
-        Bump(tallies_.evictions, evictions_);
-      }
-    }
-  }
 
   // Availability tier: thread the epoch's shared verdict cache into the
   // run. The shared_ptr keeps the tier alive for the whole run even if a
@@ -211,9 +169,8 @@ Result<std::shared_ptr<const ExplorationResponse>> RequestCache::Execute(
     hooks.shared_availability = availability.get();
   }
 
-  COURSENAV_ASSIGN_OR_RETURN(
-      ExplorationResponse run,
-      plan::Executor(&catalog, &schedule).Run(*plan, hooks));
+  COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse run,
+                             plan::Execute(catalog, schedule, request, hooks));
   // One object serves the caller and, when stored, every later hit.
   auto response = std::make_shared<const ExplorationResponse>(std::move(run));
 
@@ -368,11 +325,6 @@ void RequestCache::Invalidate(const Catalog& catalog,
 
 void RequestCache::Clear() {
   {
-    MutexLock lock(plan_mu_);
-    plans_.order.clear();
-    plans_.index.clear();
-  }
-  {
     MutexLock lock(result_mu_);
     results_.order.clear();
     results_.index.clear();
@@ -392,8 +344,6 @@ void RequestCache::Clear() {
 
 CacheStats RequestCache::Stats() const {
   CacheStats stats;
-  stats.plan_hits = tallies_.plan_hits.Value();
-  stats.plan_misses = tallies_.plan_misses.Value();
   stats.result_hits = tallies_.result_hits.Value();
   stats.result_misses = tallies_.result_misses.Value();
   stats.count_hits = tallies_.count_hits.Value();
@@ -405,10 +355,6 @@ CacheStats RequestCache::Stats() const {
     MutexLock lock(result_mu_);
     stats.result_bytes = result_bytes_;
     stats.result_entries = results_.order.size();
-  }
-  {
-    MutexLock lock(plan_mu_);
-    stats.plan_entries = plans_.order.size();
   }
   {
     MutexLock lock(count_mu_);

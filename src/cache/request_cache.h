@@ -20,7 +20,6 @@
 #include "core/pruning.h"
 #include "obs/metrics.h"
 #include "plan/executor.h"
-#include "plan/planner.h"
 #include "plan/request.h"
 #include "requirements/goal.h"
 #include "util/mutex.h"
@@ -54,7 +53,6 @@ Result<CacheOutcome> ParseCacheOutcome(std::string_view name);
 /// bound; the result tier is additionally byte-bounded (graphs dominate,
 /// charged the arena bytes they allocate).
 struct CacheConfig {
-  size_t plan_capacity = 128;
   size_t result_capacity = 64;
   size_t result_max_bytes = 256u << 20;  // 256 MiB of cached graphs
   size_t count_capacity = 1024;
@@ -65,8 +63,6 @@ struct CacheConfig {
 
 /// Point-in-time counters, for /statusz and tests.
 struct CacheStats {
-  int64_t plan_hits = 0;
-  int64_t plan_misses = 0;
   int64_t result_hits = 0;
   int64_t result_misses = 0;
   int64_t count_hits = 0;
@@ -76,11 +72,10 @@ struct CacheStats {
   int64_t epoch_invalidations = 0;
   size_t result_bytes = 0;
   size_t result_entries = 0;
-  size_t plan_entries = 0;
   size_t count_entries = 0;
 };
 
-/// The process-wide epoch-keyed request cache: plan, canonical-result,
+/// The process-wide epoch-keyed request cache: canonical-result,
 /// goal-path-count, and availability-verdict reuse across sessions and
 /// serve workers (docs/caching.md).
 ///
@@ -102,8 +97,8 @@ struct CacheStats {
 /// runs are stored, which is what makes the thread-count- and
 /// wall-clock-budget-free result key sound (see docs/caching.md).
 ///
-/// All methods are thread-safe. The tier mutexes (`plan_mu_`,
-/// `result_mu_`, `count_mu_`, `avail_mu_`) are leaf locks, never nested
+/// All methods are thread-safe. The tier mutexes (`result_mu_`,
+/// `count_mu_`, `avail_mu_`) are leaf locks, never nested
 /// with each other or any other lock, and never held across an
 /// exploration run (tools/lint/lock_order.txt).
 class RequestCache {
@@ -116,9 +111,9 @@ class RequestCache {
   /// sessions share.
   static RequestCache& Global();
 
-  /// Cache-aware replacement for plan::Execute: lowers and runs `request`
-  /// against (catalog, schedule), consulting the plan and result tiers and
-  /// threading the epoch's shared availability tier into the run. A hit
+  /// Cache-aware replacement for plan::Execute: consults the result tier,
+  /// and on a miss lowers and runs `request` against (catalog, schedule)
+  /// with the epoch's shared availability tier threaded into the run. A hit
   /// returns the stored response; a miss returns the fresh run, which is
   /// also the object stored when the run completed at a stable epoch; a
   /// bypass returns the fresh run unstored. Never null on success.
@@ -183,9 +178,6 @@ class RequestCache {
 
   const CacheConfig config_;
 
-  mutable Mutex plan_mu_;
-  LruMap<plan::ExplorationPlan> plans_ CN_GUARDED_BY(plan_mu_);
-
   mutable Mutex result_mu_;
   LruMap<ResultEntry> results_ CN_GUARDED_BY(result_mu_);
   size_t result_bytes_ CN_GUARDED_BY(result_mu_) = 0;
@@ -201,7 +193,6 @@ class RequestCache {
   /// series via the handles below, so a test-local cache instance still
   /// reads its own numbers while /metrics aggregates everything.
   struct Tallies {
-    obs::Counter plan_hits, plan_misses;
     obs::Counter result_hits, result_misses;
     obs::Counter count_hits, count_misses;
     obs::Counter bypasses, evictions, epoch_invalidations;
@@ -209,8 +200,6 @@ class RequestCache {
   Tallies tallies_;
 
   // Interned once at construction from the process-global registry.
-  obs::Counter* plan_hits_;
-  obs::Counter* plan_misses_;
   obs::Counter* result_hits_;
   obs::Counter* result_misses_;
   obs::Counter* count_hits_;

@@ -130,7 +130,7 @@ class CountingRun {
     Status counted = CountLayers(start);
     // Distinct statuses stand in for nodes in the counting rung's metrics
     // (they are what bounds counting work, as max_nodes does graphs).
-    engine_.metrics().nodes_created += statuses_;
+    engine_.tallies().nodes_created += statuses_;
     expander_.EmitStageSpans();
     run_span.AddInt("distinct_statuses", statuses_);
     if (!counted.ok()) return counted;
@@ -236,7 +236,7 @@ class CountingRun {
 
   /// One check per expanded status.
   Status CheckBudget() {
-    engine_.metrics().budget_checks += 1;
+    engine_.tallies().budget_checks += 1;
     if (FaultInjector* injector = ActiveFaultInjector();
         injector != nullptr && injector->ShouldInject(kFaultSiteCountAlloc)) {
       return Status::ResourceExhausted(

@@ -1,8 +1,34 @@
 #include "core/engine.h"
 
+#include <array>
+#include <atomic>
+#include <iterator>
+#include <string_view>
+
+#include "obs/metrics.h"
 #include "util/string_util.h"
 
 namespace coursenav::internal {
+namespace {
+
+/// The process-global counter each run tally is added to.
+struct TallySeries {
+  std::string_view name;
+  int64_t ExplorationStats::*tally;
+};
+constexpr TallySeries kTallySeries[] = {
+    {obs::kMetricNodesCreated, &ExplorationStats::nodes_created},
+    {obs::kMetricEdgesCreated, &ExplorationStats::edges_created},
+    {obs::kMetricNodesExpanded, &ExplorationStats::nodes_expanded},
+    {obs::kMetricTerminalPaths, &ExplorationStats::terminal_paths},
+    {obs::kMetricGoalPaths, &ExplorationStats::goal_paths},
+    {obs::kMetricDeadEndPaths, &ExplorationStats::dead_end_paths},
+    {obs::kMetricPrunedTime, &ExplorationStats::pruned_time},
+    {obs::kMetricPrunedAvailability, &ExplorationStats::pruned_availability},
+    {obs::kMetricBudgetChecks, &ExplorationStats::budget_checks},
+};
+
+}  // namespace
 
 ExplorationEngine::ExplorationEngine(const Catalog& catalog,
                                      const OfferingSchedule& schedule,
@@ -11,7 +37,6 @@ ExplorationEngine::ExplorationEngine(const Catalog& catalog,
     : catalog_(catalog),
       schedule_(schedule),
       options_(options),
-      metrics_(&registry_),
       budget_(options.limits.max_seconds, options.cancel),
       start_(start),
       end_(end),
@@ -32,13 +57,32 @@ ExplorationEngine::ExplorationEngine(const Catalog& catalog,
 }
 
 ExplorationEngine::~ExplorationEngine() {
-  metrics_.Publish();
-  obs::MetricRegistry& global = obs::GlobalMetrics();
-  registry_.AccumulateInto(&global);
-  global.GetCounter(obs::kMetricRuns)->Increment();
-  global.GetHistogram(obs::kMetricRuntimeMicros)
-      ->Observe(static_cast<int64_t>(ElapsedSeconds() * 1e6));
-  global.GetGauge(obs::kMetricPeakNodes)->UpdateMax(metrics_.nodes_created);
+  // Handles are interned once per process, each tally's by the first run
+  // that bumps it, so /metrics lists the series runs have bumped. Interning
+  // all nine up front moved the registry's permanent allocations and raised
+  // paper_batch's peak RSS (docs/observability.md, "Peak RSS and registry
+  // growth").
+  static std::array<std::atomic<obs::Counter*>, std::size(kTallySeries)>
+      tally_counters{};
+  for (size_t i = 0; i < tally_counters.size(); ++i) {
+    const int64_t value = tallies_.*kTallySeries[i].tally;
+    if (value == 0) continue;
+    obs::Counter* counter = tally_counters[i].load(std::memory_order_acquire);
+    if (counter == nullptr) {
+      counter = obs::GlobalMetrics().GetCounter(kTallySeries[i].name);
+      tally_counters[i].store(counter, std::memory_order_release);
+    }
+    counter->Increment(value);
+  }
+  static obs::Counter* const runs =
+      obs::GlobalMetrics().GetCounter(obs::kMetricRuns);
+  static obs::Histogram* const runtime_us =
+      obs::GlobalMetrics().GetHistogram(obs::kMetricRuntimeMicros);
+  static obs::Gauge* const peak_nodes =
+      obs::GlobalMetrics().GetGauge(obs::kMetricPeakNodes);
+  runs->Increment();
+  runtime_us->Observe(static_cast<int64_t>(ElapsedSeconds() * 1e6));
+  peak_nodes->UpdateMax(tallies_.nodes_created);
 }
 
 const DynamicBitset& ExplorationEngine::AvailableFrom(Term term) const {
@@ -76,7 +120,7 @@ Status CheckGraphLimits(const ExplorationLimits& limits,
 }
 
 Status ExplorationEngine::CheckBudget(const LearningGraph& graph) {
-  ++metrics_.budget_checks;
+  ++tallies_.budget_checks;
   COURSENAV_RETURN_IF_ERROR(
       CheckGraphLimits(options_.limits, graph.allocation_failed(),
                        graph.num_nodes(), graph.MemoryUsage()));

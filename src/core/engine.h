@@ -11,7 +11,6 @@
 #include "core/options.h"
 #include "core/stats.h"
 #include "graph/learning_graph.h"
-#include "obs/metrics.h"
 #include "util/bitset.h"
 #include "util/cancellation.h"
 #include "util/result.h"
@@ -52,8 +51,8 @@ class ExplorationEngine {
   ExplorationEngine(const Catalog& catalog, const OfferingSchedule& schedule,
                     const ExplorationOptions& options, Term start, Term end);
 
-  /// Destruction folds the run's metric registry into the process-global
-  /// one (plus a runs counter, a runtime histogram observation, and the
+  /// Destruction adds the run's tallies to the process-global registry
+  /// (plus a runs counter, a runtime histogram observation, and the
   /// peak-nodes gauge), so every run is accounted exactly once — including
   /// early-error exits.
   ~ExplorationEngine();
@@ -80,16 +79,16 @@ class ExplorationEngine {
 
   DeadlineBudget& budget() { return budget_; }
 
-  /// The run's instrumentation bundle: generators and the pruning oracle
-  /// bump these plain tallies (a run is single-threaded, so no atomics on
-  /// the hot path); `ExplorationStats::FromMetrics` snapshots them into
-  /// the legacy struct, and the destructor publishes them into the run's
-  /// registry before folding it into the global one.
-  obs::ExplorationMetrics& metrics() const { return metrics_; }
+  /// The run's tally sheet: generators, the pruning oracle and the
+  /// counting driver bump its plain fields (a run is single-threaded, so no
+  /// atomics on the hot path); the destructor publishes it.
+  ExplorationStats& tallies() const { return tallies_; }
 
-  /// Legacy-shaped snapshot of the run so far.
+  /// The run's tallies so far, with its runtime.
   ExplorationStats StatsView() const {
-    return ExplorationStats::FromMetrics(metrics_, ElapsedSeconds());
+    ExplorationStats stats = tallies_;
+    stats.runtime_seconds = ElapsedSeconds();
+    return stats;
   }
 
   const Catalog& catalog() const { return catalog_; }
@@ -102,9 +101,7 @@ class ExplorationEngine {
   const Catalog& catalog_;
   const OfferingSchedule& schedule_;
   const ExplorationOptions& options_;
-  /// Per-run registry; isolated so concurrent runs never share counters.
-  mutable obs::MetricRegistry registry_;
-  mutable obs::ExplorationMetrics metrics_;
+  mutable ExplorationStats tallies_;
   DeadlineBudget budget_;
   Term start_;
   Term end_;

@@ -12,8 +12,8 @@
 #include "core/combinations.h"
 #include "core/engine.h"
 #include "core/pruning.h"
+#include "core/stats.h"
 #include "graph/learning_graph.h"
-#include "obs/metrics.h"
 #include "requirements/goal.h"
 #include "util/bitset.h"
 
@@ -63,19 +63,19 @@ enum class Expansion {
 /// scratch sets and, with a goal, the pruning oracle.
 class Expander {
  public:
-  /// `metrics` receives the node, edge and pruning tallies (null: the
-  /// engine's own bundle).
+  /// `tallies` receives the node, edge and pruning tallies (null: the
+  /// engine's own sheet).
   Expander(const ExplorationEngine& engine, const ExpandSpec& spec,
-           obs::ExplorationMetrics* metrics = nullptr)
+           ExplorationStats* tallies = nullptr)
       : engine_(engine),
         goal_(spec.goal),
-        metrics_(metrics != nullptr ? metrics : &engine.metrics()),
+        tallies_(tallies != nullptr ? tallies : &engine.tallies()),
         empty_selection_(engine.catalog().size()),
         child_completed_(engine.catalog().size()),
         child_selection_(engine.catalog().size()) {
     if (goal_ != nullptr) {
       oracle_.emplace(*goal_, engine, engine.options(), *spec.config,
-                      metrics_, spec.shared_availability);
+                      tallies_, spec.shared_availability);
     }
     batch_.Configure(engine.catalog().size());
   }
@@ -163,8 +163,8 @@ class Expander {
     LearningGraph::CreatedChild child =
         graph.AddChildTo(shard, parent_id, parent, child_selection_,
                          DynamicBitset(child_completed_), edge_cost, path_cost);
-    metrics_->nodes_created += 1;
-    metrics_->edges_created += 1;
+    tallies_->nodes_created += 1;
+    tallies_->edges_created += 1;
     return child;
   }
 
@@ -202,7 +202,7 @@ class Expander {
 
   const ExplorationEngine& engine_;
   const Goal* goal_;
-  obs::ExplorationMetrics* metrics_;
+  ExplorationStats* tallies_;
   std::optional<PruningOracle> oracle_;
   CandidateBatch batch_;
   std::vector<PruningOracle::Verdict> verdicts_;
@@ -219,15 +219,15 @@ class Expander {
 
 /// The graph drivers' leaf accounting: goal, missed and dead-end statuses
 /// are leaves; expanded and stopped ones are not.
-inline void CountLeaf(Expansion expansion, obs::ExplorationMetrics& metrics) {
+inline void CountLeaf(Expansion expansion, ExplorationStats& tallies) {
   if (expansion == Expansion::kExpanded || expansion == Expansion::kStopped) {
     return;
   }
-  metrics.terminal_paths += 1;
+  tallies.terminal_paths += 1;
   if (expansion == Expansion::kGoal) {
-    metrics.goal_paths += 1;
+    tallies.goal_paths += 1;
   } else {
-    metrics.dead_end_paths += 1;
+    tallies.dead_end_paths += 1;
   }
 }
 

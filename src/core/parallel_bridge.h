@@ -26,7 +26,7 @@ int EffectiveWorkers(int num_threads);
 /// then canonicalizes the result into serial id order.
 ///
 /// Preconditions: `graph` was configured with `EffectiveWorkers` shards and
-/// holds exactly its root node; `engine.metrics().nodes_created` already
+/// holds exactly its root node; `engine.tallies().nodes_created` already
 /// counts that root (mirroring the serial generators).
 ///
 /// The workers run the shared kernel (`Expander`, core/expand.h) that the

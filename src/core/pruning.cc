@@ -10,13 +10,13 @@ namespace coursenav::internal {
 PruningOracle::PruningOracle(const Goal& goal, const ExplorationEngine& engine,
                              const ExplorationOptions& options,
                              const GoalDrivenConfig& config,
-                             obs::ExplorationMetrics* metrics,
+                             ExplorationStats* tallies,
                              SharedAvailabilityCache* shared_cache)
     : goal_(goal),
       engine_(engine),
       options_(options),
       config_(config),
-      metrics_(metrics != nullptr ? metrics : &engine.metrics()),
+      tallies_(tallies != nullptr ? tallies : &engine.tallies()),
       shared_cache_(shared_cache),
       goal_is_monotone_(goal.IsMonotone()) {}
 
@@ -42,7 +42,7 @@ int PruningOracle::MinSelectionSize(int left_parent, Term parent_term) const {
 }
 
 void PruningOracle::AccountSkippedTimePruned(int64_t count) {
-  metrics_->pruned_time += count;
+  tallies_->pruned_time += count;
 }
 
 void PruningOracle::EmitStageSpans() const {
@@ -60,8 +60,8 @@ void PruningOracle::EmitStageSpans(
   for (const PruningOracle* oracle : oracles) {
     time_stages.push_back(&oracle->time_stage_);
     availability_stages.push_back(&oracle->availability_stage_);
-    pruned_time += oracle->metrics_->pruned_time;
-    pruned_availability += oracle->metrics_->pruned_availability;
+    pruned_time += oracle->tallies_->pruned_time;
+    pruned_availability += oracle->tallies_->pruned_availability;
   }
   const GoalDrivenConfig& config = oracles.front()->config_;
   obs::StageAccumulator::EmitMean(
@@ -107,14 +107,14 @@ PruningOracle::Verdict PruningOracle::ClassifyChild(
         options_.max_courses_per_term * (engine_.end() - child_term);
     // Fast certain-prune: one semester reduces `left` by at most |W|.
     if (left_parent - selection_size > child_bound) {
-      metrics_->pruned_time += 1;
+      tallies_->pruned_time += 1;
       return Verdict::kPrunedTime;
     }
     // Fast certain-keep for monotone goals: left(X ∪ W) <= left(X).
     bool needs_exact = !(goal_is_monotone_ && left_parent <= child_bound);
     if (needs_exact &&
         goal_.MinCoursesRemaining(child_completed) > child_bound) {
-      metrics_->pruned_time += 1;
+      tallies_->pruned_time += 1;
       return Verdict::kPrunedTime;
     }
   }
@@ -149,7 +149,7 @@ PruningOracle::Verdict PruningOracle::ClassifyChild(
       achievable = goal_.AchievableWith(child_completed, available);
     }
     if (!achievable) {
-      metrics_->pruned_availability += 1;
+      tallies_->pruned_availability += 1;
       return Verdict::kPrunedAvailability;
     }
   }
@@ -187,7 +187,7 @@ void PruningOracle::ClassifyBatch(const CandidateBatch& batch, Term child_term,
       if (left_parent - batch.selection_size(i) > child_bound ||
           (needs_exact && batch_bounds_[i] > child_bound)) {
         (*verdicts)[i] = Verdict::kPrunedTime;
-        metrics_->pruned_time += 1;
+        tallies_->pruned_time += 1;
       }
     }
     // coursenav:hot-end
@@ -231,7 +231,7 @@ void PruningOracle::ClassifyBatch(const CandidateBatch& batch, Term child_term,
         }
         if (!achievable) {
           (*verdicts)[i] = Verdict::kPrunedAvailability;
-          metrics_->pruned_availability += 1;
+          tallies_->pruned_availability += 1;
         }
       }
     } else {
@@ -247,7 +247,7 @@ void PruningOracle::ClassifyBatch(const CandidateBatch& batch, Term child_term,
         if ((*verdicts)[i] != Verdict::kKeep) continue;
         if (!batch_achievable_[i]) {
           (*verdicts)[i] = Verdict::kPrunedAvailability;
-          metrics_->pruned_availability += 1;
+          tallies_->pruned_availability += 1;
         }
       }
     }

@@ -14,7 +14,6 @@
 #include "core/engine.h"
 #include "core/options.h"
 #include "core/stats.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "requirements/goal.h"
 #include "util/bitset.h"
@@ -198,20 +197,20 @@ class SharedAvailabilityCache {
 /// Implements the paper's two pruning strategies for one generation run,
 /// with instrumentation. Internal — used by the goal-driven and ranked
 /// generators (one oracle per run), and by the parallel expander (one
-/// oracle per worker, each with a detached metrics bundle and all sharing
+/// oracle per worker, each with the worker's own tally sheet and all sharing
 /// one `SharedAvailabilityCache` L2).
 class PruningOracle {
  public:
   enum class Verdict { kKeep, kPrunedTime, kPrunedAvailability };
 
-  /// All references must outlive the oracle. `metrics` is where pruning
-  /// tallies land; null means the engine's own bundle (the serial path).
+  /// All references must outlive the oracle. `tallies` is where pruning
+  /// tallies land; null means the engine's own sheet (the serial path).
   /// `shared_cache` adds a cross-worker L2 behind the private L1 map; null
   /// (the serial path) keeps the oracle lock-free.
   PruningOracle(const Goal& goal, const ExplorationEngine& engine,
                 const ExplorationOptions& options,
                 const GoalDrivenConfig& config,
-                obs::ExplorationMetrics* metrics = nullptr,
+                ExplorationStats* tallies = nullptr,
                 SharedAvailabilityCache* shared_cache = nullptr);
 
   /// `left_i` at a node about to be expanded, or -1 when time pruning is
@@ -279,7 +278,7 @@ class PruningOracle {
   const ExplorationEngine& engine_;
   const ExplorationOptions& options_;
   const GoalDrivenConfig& config_;
-  obs::ExplorationMetrics* metrics_;
+  ExplorationStats* tallies_;
   SharedAvailabilityCache* shared_cache_;
   bool goal_is_monotone_;
   obs::StageAccumulator time_stage_;

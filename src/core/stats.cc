@@ -4,19 +4,16 @@
 
 namespace coursenav {
 
-ExplorationStats ExplorationStats::FromMetrics(
-    const obs::ExplorationMetrics& metrics, double runtime_seconds) {
-  ExplorationStats stats;
-  stats.nodes_created = metrics.nodes_created;
-  stats.edges_created = metrics.edges_created;
-  stats.nodes_expanded = metrics.nodes_expanded;
-  stats.terminal_paths = metrics.terminal_paths;
-  stats.goal_paths = metrics.goal_paths;
-  stats.dead_end_paths = metrics.dead_end_paths;
-  stats.pruned_time = metrics.pruned_time;
-  stats.pruned_availability = metrics.pruned_availability;
-  stats.runtime_seconds = runtime_seconds;
-  return stats;
+void ExplorationStats::MergeFrom(const ExplorationStats& other) {
+  nodes_created += other.nodes_created;
+  edges_created += other.edges_created;
+  nodes_expanded += other.nodes_expanded;
+  terminal_paths += other.terminal_paths;
+  goal_paths += other.goal_paths;
+  dead_end_paths += other.dead_end_paths;
+  pruned_time += other.pruned_time;
+  pruned_availability += other.pruned_availability;
+  budget_checks += other.budget_checks;
 }
 
 std::string ExplorationStats::ToString() const {

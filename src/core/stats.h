@@ -4,20 +4,21 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics.h"
 #include "util/json.h"
 
 namespace coursenav {
 
-/// Instrumentation emitted by every generator; the benchmark harnesses
-/// report these directly (Table 1's pruning breakdown, Table 2's path
-/// counts).
+/// A run's tally sheet, and the instrumentation every generator returns;
+/// the benchmark harnesses report these directly (Table 1's pruning
+/// breakdown, Table 2's path counts).
 ///
-/// Since the observability refactor this struct is a *view*: generators
-/// increment counters in a per-run `obs::MetricRegistry` (lock-free on the
-/// hot path) and snapshot them into this legacy shape via `FromMetrics`
-/// when the run finishes. The numbers here therefore reconcile exactly
-/// with what the metrics exporters report.
+/// The generators, the pruning oracle and the counting driver bump these
+/// plain fields while the run is going: a run, or one parallel worker, is
+/// single-threaded, so a hot-path bump is one add, not an atomic RMW.
+/// Parallel workers each keep a sheet and `MergeFrom` it into the run's at
+/// join. The engine adds the finished run's tallies to `obs::GlobalMetrics()`
+/// once, so these numbers reconcile exactly with what the metrics
+/// exporters report.
 struct ExplorationStats {
   /// Nodes materialized into the learning graph.
   int64_t nodes_created = 0;
@@ -39,13 +40,16 @@ struct ExplorationStats {
   /// Candidate children rejected by the course-availability strategy.
   int64_t pruned_availability = 0;
 
+  /// Budget checks made. Published as a metric; ToString and ToJson leave
+  /// it out.
+  int64_t budget_checks = 0;
+
   double runtime_seconds = 0.0;
 
   int64_t TotalPruned() const { return pruned_time + pruned_availability; }
 
-  /// Snapshot of a run's metric bundle in the legacy shape.
-  static ExplorationStats FromMetrics(const obs::ExplorationMetrics& metrics,
-                                      double runtime_seconds);
+  /// Adds another sheet's tallies (every counter, not the runtime).
+  void MergeFrom(const ExplorationStats& other);
 
   /// One-line summary for logs: every counter, the pruning breakdown with
   /// per-strategy percentages (Table 1's layout), and the runtime.

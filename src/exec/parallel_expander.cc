@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "core/expand.h"
+#include "core/stats.h"
 #include "exec/work_queue.h"
 #include "exec/worker_pool.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cancellation.h"
 #include "util/mutex.h"
@@ -133,12 +133,12 @@ struct WorkerCtx {
   WorkerCtx(int worker_index, const ExplorationEngine& engine,
             const ExpandSpec& spec, double remaining_seconds)
       : shard(worker_index),
-        metrics(nullptr),  // detached tally sheet, folded at join
         deadline(remaining_seconds, engine.options().cancel),
-        expander(engine, spec, &metrics) {}
+        expander(engine, spec, &tallies) {}
 
   int shard;
-  obs::ExplorationMetrics metrics;
+  /// The worker's tally sheet, merged into the run's at join.
+  ExplorationStats tallies;
   DeadlineBudget deadline;
   Expander expander;
   /// The expansion's children, pushed together once it ends.
@@ -180,7 +180,7 @@ struct WorkerSink {
   /// `budget_checks` bump per call), same verdict order — allocation
   /// failure, node budget, memory budget, then deadline/cancellation.
   Status Verdict() {
-    ++ctx.metrics.budget_checks;
+    ++ctx.tallies.budget_checks;
     if (env.sentinel->stopped()) return env.sentinel->status();
     PublishTallies();
     COURSENAV_RETURN_IF_ERROR(env.sentinel->CheckLimits(
@@ -220,14 +220,14 @@ void ExpandNode(WorkerCtx& ctx, int worker_index, const FrontierItem& item,
                 const ExpandEnv& env) {
   WorkerSink sink{ctx, env, item};
   if (sink.CheckBudget()) {
-    ctx.metrics.nodes_expanded += 1;
+    ctx.tallies.nodes_expanded += 1;
     // The worker owns the popped node exclusively and the arena never
     // relocates it, so its sets are read in place.
     LearningNode* node = item.node;
     const Expansion expansion =
         ctx.expander.Expand(node->term, node->completed, sink);
     if (expansion == Expansion::kGoal) node->is_goal = true;
-    CountLeaf(expansion, ctx.metrics);
+    CountLeaf(expansion, ctx.tallies);
   }
   // Counted before they become visible, so `pending` cannot read 0 while
   // they wait to be pushed.
@@ -305,12 +305,12 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
     pool.Run([&](int w) { WorkerBody(w, *ctxs[static_cast<size_t>(w)], env); });
   }
 
-  // Join: fold the detached per-worker tallies into the engine's bundle
-  // (published once, by the engine, at destruction) and emit the run's
-  // pruning stage spans, one per strategy across all workers.
+  // Join: merge the per-worker tally sheets into the engine's (published
+  // once, by the engine, at destruction) and emit the run's pruning stage
+  // spans, one per strategy across all workers.
   std::vector<const PruningOracle*> oracles;
   for (const std::unique_ptr<WorkerCtx>& ctx : ctxs) {
-    engine.metrics().MergeFrom(ctx->metrics);
+    engine.tallies().MergeFrom(ctx->tallies);
     if (ctx->expander.oracle() != nullptr) {
       oracles.push_back(ctx->expander.oracle());
     }

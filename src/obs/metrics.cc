@@ -129,27 +129,6 @@ size_t MetricRegistry::InternedNameCount() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-void MetricRegistry::AccumulateInto(MetricRegistry* target) const {
-  if (target == this || target == nullptr) return;
-  std::vector<MetricSnapshot> snapshot = Snapshot();
-  for (const MetricSnapshot& snap : snapshot) {
-    switch (snap.kind) {
-      case MetricKind::kCounter:
-        if (snap.value != 0) target->GetCounter(snap.name)->Increment(snap.value);
-        break;
-      case MetricKind::kGauge:
-        target->GetGauge(snap.name)->UpdateMax(snap.value);
-        break;
-      case MetricKind::kHistogram:
-        if (snap.value != 0) {
-          target->GetHistogram(snap.name)->Merge(snap.value, snap.sum,
-                                                 snap.buckets);
-        }
-        break;
-    }
-  }
-}
-
 MetricRegistry& GlobalMetrics() {
   // Leaky singleton: workers may flush metrics during static destruction.
   static MetricRegistry* registry =
@@ -167,34 +146,6 @@ std::string LabeledMetricName(std::string_view base, std::string_view key,
   name.push_back('=');
   name.append(value);
   return name;
-}
-
-ExplorationMetrics::ExplorationMetrics(MetricRegistry* registry)
-    : registry_(registry), handles_{} {
-  if (registry == nullptr) return;  // detached per-worker tally sheet
-  Counter** h = handles_;
-  h[0] = registry->GetCounter(kMetricNodesCreated);
-  h[1] = registry->GetCounter(kMetricEdgesCreated);
-  h[2] = registry->GetCounter(kMetricNodesExpanded);
-  h[3] = registry->GetCounter(kMetricTerminalPaths);
-  h[4] = registry->GetCounter(kMetricGoalPaths);
-  h[5] = registry->GetCounter(kMetricDeadEndPaths);
-  h[6] = registry->GetCounter(kMetricPrunedTime);
-  h[7] = registry->GetCounter(kMetricPrunedAvailability);
-  h[8] = registry->GetCounter(kMetricBudgetChecks);
-}
-
-void ExplorationMetrics::Publish() {
-  if (registry_ == nullptr) return;
-  const int64_t tallies[kNumTallies] = {
-      nodes_created, edges_created, nodes_expanded,
-      terminal_paths, goal_paths,   dead_end_paths,
-      pruned_time,   pruned_availability, budget_checks};
-  for (int i = 0; i < kNumTallies; ++i) {
-    int64_t delta = tallies[i] - published_[i];
-    if (delta != 0) handles_[i]->Increment(delta);
-    published_[i] = tallies[i];
-  }
 }
 
 }  // namespace coursenav::obs

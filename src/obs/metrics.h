@@ -91,21 +91,6 @@ class Histogram {
         std::memory_order_relaxed);
   }
 
-  /// Adds another histogram's tallies (from a snapshot) into this one,
-  /// preserving exact bucket counts and sum.
-  void Merge(int64_t count, int64_t sum,
-             const std::array<int64_t, kNumBuckets>& buckets) {
-    for (int b = 0; b < kNumBuckets; ++b) {
-      int64_t n = buckets[static_cast<size_t>(b)];
-      if (n != 0) {
-        buckets_[static_cast<size_t>(b)].fetch_add(n,
-                                                   std::memory_order_relaxed);
-      }
-    }
-    count_.fetch_add(count, std::memory_order_relaxed);
-    sum_.fetch_add(sum, std::memory_order_relaxed);
-  }
-
  private:
   std::array<std::atomic<int64_t>, kNumBuckets> buckets_{};
   std::atomic<int64_t> count_{0};
@@ -127,10 +112,9 @@ struct MetricSnapshot {
 /// returns a stable id/pointer; subsequent updates through the handle are
 /// lock-free. Metric names are unique per kind within one registry.
 ///
-/// Two registries exist in practice: a short-lived per-run registry owned
-/// by each exploration engine (so a run's numbers are isolated), and the
-/// process-global registry (`GlobalMetrics()`) into which finished runs
-/// accumulate and which the exporters snapshot.
+/// The process-global registry (`GlobalMetrics()`) is the one the
+/// exporters snapshot; a finished exploration adds its tally sheet
+/// (`ExplorationStats`) to it once. Sessions and tests build their own.
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -164,11 +148,6 @@ class MetricRegistry {
   /// intern one name per (metric, label) pair, so this is the number
   /// exporter consumers watch to detect unbounded label cardinality.
   size_t InternedNameCount() const;
-
-  /// Adds every counter value and histogram bucket of this registry into
-  /// `target` (interning names there as needed); gauges propagate as
-  /// UpdateMax. Used to fold a finished run's registry into the global one.
-  void AccumulateInto(MetricRegistry* target) const;
 
  private:
   /// Guards the name maps and the deques' growth; updates through the
@@ -223,8 +202,6 @@ inline constexpr std::string_view kMetricRuns = "exploration_runs_total";
 inline constexpr std::string_view kMetricRuntimeMicros =
     "exploration_runtime_us";
 inline constexpr std::string_view kMetricPeakNodes = "exploration_peak_nodes";
-inline constexpr std::string_view kMetricFlowChecks =
-    "flow_credited_slots_total";
 inline constexpr std::string_view kMetricFlowSolves =
     "flow_network_solves_total";
 inline constexpr std::string_view kMetricDegradationRungs =
@@ -294,14 +271,10 @@ inline constexpr std::string_view kMetricServeTenantDeadlineMet =
 inline constexpr std::string_view kMetricServeTenantDeadlineMissed =
     "serve_tenant_deadline_missed_total";
 
-// Process-wide epoch-keyed request cache (src/cache/): shared plan,
+// Process-wide epoch-keyed request cache (src/cache/): shared
 // canonical-result, goal-path-count, and availability-verdict reuse
 // across sessions. Hits/misses are per tier; epoch_invalidations counts
 // explicit Invalidate() calls plus fault-driven epoch rotations observed.
-inline constexpr std::string_view kMetricCachePlanHits =
-    "cache_plan_hits_total";
-inline constexpr std::string_view kMetricCachePlanMisses =
-    "cache_plan_misses_total";
 inline constexpr std::string_view kMetricCacheResultHits =
     "cache_result_hits_total";
 inline constexpr std::string_view kMetricCacheResultMisses =
@@ -318,63 +291,6 @@ inline constexpr std::string_view kMetricCacheEpochInvalidations =
     "cache_epoch_invalidations_total";
 inline constexpr std::string_view kMetricCacheResultBytes =
     "cache_result_bytes";
-
-/// The per-run instrumentation bundle every generator increments: one
-/// plain int64 tally per legacy `ExplorationStats` counter (plus budget
-/// checks). A generation run is single-threaded, so a hot-path increment
-/// is one register add; routing every per-candidate bump through the
-/// registry's atomic counters instead costs an RMW each and measurably
-/// slows Table 2's goal runs. `Publish()` pushes the tallies into the
-/// owning registry's lock-free counters, adding only the delta since the
-/// last publish so it is safe to call repeatedly; the engine publishes
-/// before folding the run into `GlobalMetrics()`.
-class ExplorationMetrics {
- public:
-  /// With a null registry the bundle is a detached tally sheet: increments
-  /// work normally, `Publish()` is a no-op. The parallel engine gives each
-  /// worker a detached bundle and folds them via `MergeFrom` at join, so
-  /// the run's registry sees every tally exactly once.
-  explicit ExplorationMetrics(MetricRegistry* registry);
-
-  int64_t nodes_created = 0;
-  int64_t edges_created = 0;
-  int64_t nodes_expanded = 0;
-  int64_t terminal_paths = 0;
-  int64_t goal_paths = 0;
-  int64_t dead_end_paths = 0;
-  int64_t pruned_time = 0;
-  int64_t pruned_availability = 0;
-  int64_t budget_checks = 0;
-
-  /// Adds the tallies accumulated since the last publish into the
-  /// registry's counters.
-  void Publish();
-
-  /// Folds another bundle's raw tallies into this one. Used after a
-  /// parallel run to join the per-worker tally sheets; the sources must
-  /// never Publish themselves (they are detached), or the counts would
-  /// double into the registry.
-  void MergeFrom(const ExplorationMetrics& other) {
-    nodes_created += other.nodes_created;
-    edges_created += other.edges_created;
-    nodes_expanded += other.nodes_expanded;
-    terminal_paths += other.terminal_paths;
-    goal_paths += other.goal_paths;
-    dead_end_paths += other.dead_end_paths;
-    pruned_time += other.pruned_time;
-    pruned_availability += other.pruned_availability;
-    budget_checks += other.budget_checks;
-  }
-
-  MetricRegistry* registry() const { return registry_; }
-
- private:
-  static constexpr int kNumTallies = 9;
-
-  MetricRegistry* registry_;
-  Counter* handles_[kNumTallies];
-  int64_t published_[kNumTallies] = {};
-};
 
 }  // namespace coursenav::obs
 

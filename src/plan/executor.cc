@@ -37,9 +37,9 @@ Status ValidateRequest(const Catalog& catalog, const OfferingSchedule& schedule,
 /// X1 = X (lines 1-3 of Algorithm 1; its option set is derived when it is
 /// expanded, like every status's), shared by every pipeline.
 NodeId ConstructRoot(const ExplorationRequest& request, LearningGraph& graph,
-                     obs::ExplorationMetrics& metrics) {
+                     ExplorationStats& tallies) {
   NodeId root = graph.AddRoot(request.start.term, request.start.completed);
-  metrics.nodes_created += 1;
+  tallies.nodes_created += 1;
   return root;
 }
 
@@ -86,8 +86,8 @@ struct SerialSink {
 /// marks goal leaves and tallies every leaf.
 template <typename Sink>
 internal::Expansion ExpandSerial(Sink& sink, NodeId current) {
-  obs::ExplorationMetrics& metrics = sink.engine.metrics();
-  metrics.nodes_expanded += 1;
+  ExplorationStats& tallies = sink.engine.tallies();
+  tallies.nodes_expanded += 1;
   sink.parent = current;
   // Arena storage never relocates nodes, so the pointer stays valid while
   // children are added.
@@ -95,7 +95,7 @@ internal::Expansion ExpandSerial(Sink& sink, NodeId current) {
   const internal::Expansion expansion =
       sink.expander.Expand(sink.node->term, sink.node->completed, sink);
   if (expansion == internal::Expansion::kGoal) sink.graph.MarkGoal(current);
-  internal::CountLeaf(expansion, metrics);
+  internal::CountLeaf(expansion, tallies);
   return expansion;
 }
 
@@ -153,11 +153,11 @@ Result<GenerationResult> RunGraph(const ExplorationPlan& plan,
   construct_span.emplace(obs::kSpanGraphConstruct);
   internal::ExplorationEngine engine(catalog, schedule, request.options,
                                      request.start.term, request.end_term);
-  obs::ExplorationMetrics& metrics = engine.metrics();
+  ExplorationStats& tallies = engine.tallies();
   GenerationResult result;
   LearningGraph& graph = result.graph;
   if (plan.parallel) graph.ConfigureShards(plan.workers);
-  ConstructRoot(request, graph, metrics);
+  ConstructRoot(request, graph, tallies);
   construct_span->AddInt("catalog_courses", catalog.size());
   construct_span.reset();
 
@@ -167,7 +167,7 @@ Result<GenerationResult> RunGraph(const ExplorationPlan& plan,
         plan.parallel ? internal::ExpandFrontierParallel(
                             engine, spec, request.options.num_threads, &graph)
                       : ExpandWorklist(engine, spec, graph);
-    expand_span.AddInt("nodes_expanded", metrics.nodes_expanded);
+    expand_span.AddInt("nodes_expanded", tallies.nodes_expanded);
     if (plan.parallel) expand_span.AddInt("threads", plan.workers);
   }
 
@@ -256,12 +256,12 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
                                      request.start.term, request.end_term);
   internal::Expander expander(
       engine, {&goal, &request.config, hooks.shared_availability});
-  obs::ExplorationMetrics& metrics = engine.metrics();
+  ExplorationStats& tallies = engine.tallies();
   obs::StageAccumulator rank_stage;
 
   RankedResult result;
   LearningGraph graph;
-  NodeId root = ConstructRoot(request, graph, metrics);
+  NodeId root = ConstructRoot(request, graph, tallies);
   construct_span.reset();
 
   {
@@ -295,7 +295,7 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
     // Inside expand/loop, like the parallel workers' spans.
     rank_stage.Emit(obs::kSpanRankEvaluate);
     expander.EmitStageSpans();
-    expand_span.AddInt("nodes_expanded", metrics.nodes_expanded);
+    expand_span.AddInt("nodes_expanded", tallies.nodes_expanded);
   }
 
   if (CN_DCHECK_IS_ON()) {
@@ -372,13 +372,14 @@ Result<ExplorationResponse> Executor::Run(const ExplorationPlan& plan,
 
 Result<ExplorationResponse> Execute(const Catalog& catalog,
                                     const OfferingSchedule& schedule,
-                                    const ExplorationRequest& request) {
+                                    const ExplorationRequest& request,
+                                    const ExecHooks& hooks) {
   Result<ExplorationPlan> lowered = [&request] {
     obs::ScopedSpan span(obs::kSpanPlanLower);
     return Planner::Lower(request);
   }();
   COURSENAV_RETURN_IF_ERROR(lowered.status());
-  return Executor(&catalog, &schedule).Run(*lowered);
+  return Executor(&catalog, &schedule).Run(*lowered, hooks);
 }
 
 }  // namespace coursenav::plan

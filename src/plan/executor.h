@@ -41,26 +41,24 @@ class Executor {
 
   /// Executes `plan` and returns the response matching its task type.
   /// Budget exhaustion is reported via the payload's `termination`, not as
-  /// an error (Table 2 semantics).
-  Result<ExplorationResponse> Run(const ExplorationPlan& plan) const {
-    return Run(plan, ExecHooks{});
-  }
-
-  /// Like Run(plan), with caller-provided process machinery (shared cache
-  /// tiers). Hooks never change what is computed — a hooked run's output
-  /// is byte-identical to an unhooked one — only what gets recomputed.
+  /// an error (Table 2 semantics). `hooks` thread caller-provided process
+  /// machinery (shared cache tiers) into the run; they never change what is
+  /// computed — a hooked run's output is byte-identical to an unhooked one
+  /// — only what gets recomputed.
   Result<ExplorationResponse> Run(const ExplorationPlan& plan,
-                                  const ExecHooks& hooks) const;
+                                  const ExecHooks& hooks = {}) const;
 
  private:
   const Catalog* catalog_;
   const OfferingSchedule* schedule_;
 };
 
-/// One-call convenience: Planner::Lower + Executor::Run.
+/// One-call convenience: Planner::Lower (under a "plan/lower" span) +
+/// Executor::Run.
 Result<ExplorationResponse> Execute(const Catalog& catalog,
                                     const OfferingSchedule& schedule,
-                                    const ExplorationRequest& request);
+                                    const ExplorationRequest& request,
+                                    const ExecHooks& hooks = {});
 
 }  // namespace coursenav::plan
 

@@ -1,6 +1,5 @@
 #include "plan/request.h"
 
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -390,36 +389,6 @@ Result<ExplorationRequest> ExplorationRequestFromJson(const JsonValue& json,
 
   return request;
 }
-
-namespace {
-
-/// Checks that every key of `value` (when it is an object) is one of
-/// `known`. `where` names the object in messages ("options.limits").
-Status CheckObjectKeys(const JsonValue& value, std::string_view where,
-                       std::initializer_list<std::string_view> known) {
-  if (!value.is_object()) {
-    std::string message = "'";  // piecewise, as in CourseSetFromJson
-    message += where;
-    message += "' must be an object";
-    return Status::InvalidArgument(message);
-  }
-  for (const auto& [key, unused] : value.object()) {
-    bool found = false;
-    for (std::string_view k : known) {
-      if (key == k) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument("unknown field '" + key + "' in " +
-                                     std::string(where));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status ValidateRequestJsonSchema(const JsonValue& json) {
   COURSENAV_RETURN_IF_ERROR(CheckObjectKeys(

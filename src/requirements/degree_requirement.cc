@@ -75,11 +75,6 @@ DegreeRequirement::DegreeRequirement(Badge /*badge*/,
 }
 
 int DegreeRequirement::CreditedSlots(const DynamicBitset& completed) const {
-  // Interned once; a relaxed atomic add per check afterwards.
-  static obs::Counter* flow_checks =
-      obs::GlobalMetrics().GetCounter(obs::kMetricFlowChecks);
-  flow_checks->Increment();
-
   // Disjoint groups need no flow: credit per group is independent. This is
   // the hot path for the core/electives majors the generators hammer.
   if (groups_disjoint_) {

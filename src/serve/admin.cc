@@ -3,11 +3,9 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -23,31 +21,6 @@
 namespace coursenav::serve {
 
 namespace {
-
-void SetSocketTimeout(int fd, int option, double seconds) {
-  if (seconds <= 0) return;
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec =
-      static_cast<suseconds_t>((seconds - std::floor(seconds)) * 1e6);
-  (void)setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
-}
-
-/// Writes all of `data`; false on timeout or error.
-bool WriteFully(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    ssize_t n = send(fd, data.data() + written, data.size() - written,
-                     MSG_NOSIGNAL);
-    if (n > 0) {
-      written += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
 
 std::string_view HttpStatusText(int code) {
   switch (code) {
@@ -380,8 +353,6 @@ AdminServer::HttpResponse AdminServer::Statusz(bool include_recorder) const {
   if (config.enable_cache) {
     const cache::CacheStats shared = cache::RequestCache::Global().Stats();
     JsonValue::Object process;
-    process["plan_hits"] = JsonValue(shared.plan_hits);
-    process["plan_misses"] = JsonValue(shared.plan_misses);
     process["result_hits"] = JsonValue(shared.result_hits);
     process["result_misses"] = JsonValue(shared.result_misses);
     process["count_hits"] = JsonValue(shared.count_hits);
@@ -389,8 +360,6 @@ AdminServer::HttpResponse AdminServer::Statusz(bool include_recorder) const {
     process["bypasses"] = JsonValue(shared.bypasses);
     process["evictions"] = JsonValue(shared.evictions);
     process["epoch_invalidations"] = JsonValue(shared.epoch_invalidations);
-    process["plan_entries"] =
-        JsonValue(static_cast<int64_t>(shared.plan_entries));
     process["result_entries"] =
         JsonValue(static_cast<int64_t>(shared.result_entries));
     process["count_entries"] =

@@ -22,35 +22,6 @@ namespace coursenav::serve {
 
 namespace {
 
-bool ReadFully(int fd, unsigned char* buffer, size_t length) {
-  size_t read_so_far = 0;
-  while (read_so_far < length) {
-    ssize_t n = recv(fd, buffer + read_so_far, length - read_so_far, 0);
-    if (n > 0) {
-      read_so_far += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-bool WriteFully(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    ssize_t n = send(fd, data.data() + written, data.size() - written,
-                     MSG_NOSIGNAL);
-    if (n > 0) {
-      written += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 void DefaultSleep(double ms) {
   std::this_thread::sleep_for(
       std::chrono::microseconds(static_cast<int64_t>(ms * 1e3)));

@@ -1,6 +1,10 @@
 #include "serve/protocol.h"
 
-#include <initializer_list>
+#include <sys/socket.h>
+#include <sys/time.h>
+
+#include <cerrno>
+#include <cmath>
 #include <utility>
 
 #include "util/string_util.h"
@@ -19,47 +23,6 @@ bool IsValidIdentifier(std::string_view id) {
     if (!ok) return false;
   }
   return true;
-}
-
-Status CheckKnownKeys(const JsonValue& object,
-                      std::initializer_list<std::string_view> known,
-                      std::string_view what) {
-  for (const auto& [key, value] : object.object()) {
-    bool found = false;
-    for (std::string_view k : known) {
-      if (key == k) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument(StrFormat(
-          "unknown %s field '%s'", std::string(what).c_str(), key.c_str()));
-    }
-  }
-  return Status::OK();
-}
-
-JsonValue StatusToJson(const Status& status) {
-  JsonValue::Object object;
-  object["code"] = JsonValue(std::string(StatusCodeToString(status.code())));
-  object["message"] = JsonValue(status.message());
-  return JsonValue(std::move(object));
-}
-
-Status StatusFromJson(const JsonValue& json, Status* out) {
-  COURSENAV_ASSIGN_OR_RETURN(JsonValue code_value, json.Get("code"));
-  COURSENAV_ASSIGN_OR_RETURN(std::string code_name, code_value.GetString());
-  COURSENAV_ASSIGN_OR_RETURN(JsonValue message_value, json.Get("message"));
-  COURSENAV_ASSIGN_OR_RETURN(std::string message, message_value.GetString());
-  for (int c = 0; c <= static_cast<int>(StatusCode::kCancelled); ++c) {
-    StatusCode code = static_cast<StatusCode>(c);
-    if (StatusCodeToString(code) == code_name) {
-      *out = Status(code, std::move(message));
-      return Status::OK();
-    }
-  }
-  return Status::InvalidArgument("unknown status code '" + code_name + "'");
 }
 
 }  // namespace
@@ -88,6 +51,44 @@ Result<size_t> DecodeFrameHeader(const unsigned char header[kFrameHeaderBytes],
                   max_frame_bytes));
   }
   return static_cast<size_t>(length);
+}
+
+bool ReadFully(int fd, unsigned char* buffer, size_t length) {
+  size_t read_so_far = 0;
+  while (read_so_far < length) {
+    ssize_t n = recv(fd, buffer + read_so_far, length - read_so_far, 0);
+    if (n > 0) {
+      read_so_far += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;  // EOF (0), timeout (EAGAIN), or hard error
+  }
+  return true;
+}
+
+bool WriteFully(int fd, std::string_view data) {
+  size_t written = 0;
+  while (written < data.size()) {
+    ssize_t n = send(fd, data.data() + written, data.size() - written,
+                     MSG_NOSIGNAL);
+    if (n > 0) {
+      written += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;
+  }
+  return true;
+}
+
+void SetSocketTimeout(int fd, int option, double seconds) {
+  if (seconds <= 0) return;
+  timeval tv;
+  tv.tv_sec = static_cast<time_t>(seconds);
+  tv.tv_usec =
+      static_cast<suseconds_t>((seconds - std::floor(seconds)) * 1e6);
+  (void)setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
 }
 
 std::string_view ResponseOutcomeName(ResponseOutcome outcome) {
@@ -129,10 +130,9 @@ Result<RequestEnvelope> ParseRequestEnvelope(const JsonValue& json) {
     return Status::InvalidArgument("request envelope must be a JSON object");
   }
   COURSENAV_RETURN_IF_ERROR(
-      CheckKnownKeys(json,
-                     {"tenant", "request_id", "deadline_ms", "degrade",
-                      "payload", "trace", "trace_id", "request"},
-                     "envelope"));
+      CheckObjectKeys(json, "envelope",
+                      {"tenant", "request_id", "deadline_ms", "degrade",
+                       "payload", "trace", "trace_id", "request"}));
   RequestEnvelope envelope;
   if (json.Has("tenant")) {
     COURSENAV_ASSIGN_OR_RETURN(JsonValue tenant, json.Get("tenant"));

@@ -32,6 +32,18 @@ std::string EncodeFrame(std::string_view payload);
 Result<size_t> DecodeFrameHeader(const unsigned char header[kFrameHeaderBytes],
                                  size_t max_frame_bytes);
 
+/// Reads exactly `length` bytes from socket `fd`, retrying interrupted
+/// calls; false on EOF, timeout, or error.
+bool ReadFully(int fd, unsigned char* buffer, size_t length);
+
+/// Writes all of `data` to socket `fd` (never raising SIGPIPE), retrying
+/// interrupted calls; false on timeout or error.
+bool WriteFully(int fd, std::string_view data);
+
+/// Sets socket `fd`'s SO_RCVTIMEO or SO_SNDTIMEO (`option`) to `seconds`;
+/// a value <= 0 leaves the socket blocking.
+void SetSocketTimeout(int fd, int option, double seconds);
+
 /// How one served request ended. Every request gets exactly one outcome;
 /// overload and rejection are answers, not crashes.
 enum class ResponseOutcome {

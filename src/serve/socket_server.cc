@@ -3,11 +3,9 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -16,50 +14,6 @@
 #include "util/string_util.h"
 
 namespace coursenav::serve {
-
-namespace {
-
-void SetSocketTimeout(int fd, int option, double seconds) {
-  if (seconds <= 0) return;
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - std::floor(seconds)) * 1e6);
-  (void)setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
-}
-
-/// Reads exactly `length` bytes; false on EOF, timeout, or error.
-bool ReadFully(int fd, unsigned char* buffer, size_t length) {
-  size_t read_so_far = 0;
-  while (read_so_far < length) {
-    ssize_t n = recv(fd, buffer + read_so_far, length - read_so_far, 0);
-    if (n > 0) {
-      read_so_far += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;  // EOF (0), timeout (EAGAIN), or hard error
-  }
-  return true;
-}
-
-/// Writes all of `data`; false on timeout or error.
-bool WriteFully(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    ssize_t n = send(fd, data.data() + written, data.size() - written,
-                     MSG_NOSIGNAL);
-    if (n > 0) {
-      written += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 SocketServer::SocketServer(ExplorationServer* core, SocketConfig config)
     : core_(core), config_(std::move(config)) {}

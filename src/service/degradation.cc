@@ -70,34 +70,6 @@ std::string DegradationReport::ToString() const {
   return out;
 }
 
-namespace {
-
-JsonValue StatusToJson(const Status& status) {
-  JsonValue::Object object;
-  object["code"] = JsonValue(std::string(StatusCodeToString(status.code())));
-  object["message"] = JsonValue(status.message());
-  return JsonValue(std::move(object));
-}
-
-// Out-parameter because Result<Status> would be ambiguous: a Status is
-// both a payload and an error here.
-Status StatusFromJson(const JsonValue& json, Status* out) {
-  COURSENAV_ASSIGN_OR_RETURN(JsonValue code_value, json.Get("code"));
-  COURSENAV_ASSIGN_OR_RETURN(std::string code_name, code_value.GetString());
-  COURSENAV_ASSIGN_OR_RETURN(JsonValue message_value, json.Get("message"));
-  COURSENAV_ASSIGN_OR_RETURN(std::string message, message_value.GetString());
-  for (int c = 0; c <= static_cast<int>(StatusCode::kCancelled); ++c) {
-    StatusCode code = static_cast<StatusCode>(c);
-    if (StatusCodeToString(code) == code_name) {
-      *out = Status(code, std::move(message));
-      return Status::OK();
-    }
-  }
-  return Status::InvalidArgument("unknown status code '" + code_name + "'");
-}
-
-}  // namespace
-
 JsonValue DegradationReport::ToJson() const {
   JsonValue::Object object;
   object["level_served"] =

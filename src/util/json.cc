@@ -409,4 +409,52 @@ std::string JsonValue::Dump(int indent) const {
   return out;
 }
 
+Status CheckObjectKeys(const JsonValue& value, std::string_view where,
+                       std::initializer_list<std::string_view> known) {
+  if (!value.is_object()) {
+    // Appended piecewise: `"'" + std::string(...)` trips GCC 12's
+    // -Wrestrict false positive in optimized builds.
+    std::string message = "'";
+    message += where;
+    message += "' must be an object";
+    return Status::InvalidArgument(message);
+  }
+  for (const auto& [key, unused] : value.object()) {
+    bool found = false;
+    for (std::string_view k : known) {
+      if (key == k) {
+        found = true;
+        break;
+      }
+    }
+    if (!found) {
+      return Status::InvalidArgument("unknown field '" + key + "' in " +
+                                     std::string(where));
+    }
+  }
+  return Status::OK();
+}
+
+JsonValue StatusToJson(const Status& status) {
+  JsonValue::Object object;
+  object["code"] = JsonValue(std::string(StatusCodeToString(status.code())));
+  object["message"] = JsonValue(status.message());
+  return JsonValue(std::move(object));
+}
+
+Status StatusFromJson(const JsonValue& json, Status* out) {
+  COURSENAV_ASSIGN_OR_RETURN(JsonValue code_value, json.Get("code"));
+  COURSENAV_ASSIGN_OR_RETURN(std::string code_name, code_value.GetString());
+  COURSENAV_ASSIGN_OR_RETURN(JsonValue message_value, json.Get("message"));
+  COURSENAV_ASSIGN_OR_RETURN(std::string message, message_value.GetString());
+  for (int c = 0; c <= static_cast<int>(StatusCode::kCancelled); ++c) {
+    StatusCode code = static_cast<StatusCode>(c);
+    if (StatusCodeToString(code) == code_name) {
+      *out = Status(code, std::move(message));
+      return Status::OK();
+    }
+  }
+  return Status::InvalidArgument("unknown status code '" + code_name + "'");
+}
+
 }  // namespace coursenav

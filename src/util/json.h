@@ -2,6 +2,7 @@
 #define COURSENAV_UTIL_JSON_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "util/result.h"
+#include "util/status.h"
 
 namespace coursenav {
 
@@ -85,6 +87,19 @@ class JsonValue {
 
 /// Escapes `s` as a JSON string literal including the surrounding quotes.
 std::string JsonEscape(std::string_view s);
+
+/// Checks that `value` is an object whose every key is one of `known`.
+/// `where` names the object in messages: "unknown field 'x' in <where>".
+Status CheckObjectKeys(const JsonValue& value, std::string_view where,
+                       std::initializer_list<std::string_view> known);
+
+/// A status as `{"code": "InvalidArgument", "message": "..."}`.
+JsonValue StatusToJson(const Status& status);
+
+/// Parses StatusToJson's form into `*out`. An out-parameter because
+/// Result<Status> would be ambiguous: a Status is both a payload and an
+/// error here.
+Status StatusFromJson(const JsonValue& json, Status* out);
 
 }  // namespace coursenav
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -144,6 +145,10 @@ std::string KindName(LimitKind kind) {
   }
   return "?";
 }
+
+// gtest's default printer dumps an enum's bytes; a kind prints its name.
+void PrintTo(GeneratorKind kind, std::ostream* os) { *os << KindName(kind); }
+void PrintTo(LimitKind kind, std::ostream* os) { *os << KindName(kind); }
 
 class BudgetMatrixTest
     : public ::testing::TestWithParam<std::tuple<GeneratorKind, LimitKind>> {

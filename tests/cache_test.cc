@@ -321,7 +321,7 @@ TEST(RequestCacheTest, OneNodeAnswerIsChargedItsNodeChunk) {
   EXPECT_LT((*response)->generation->graph.MemoryUsage(), node_chunk);
 }
 
-TEST(RequestCacheTest, TruncatedRunsReusePlanButNeverResults) {
+TEST(RequestCacheTest, TruncatedRunsAreNeverStored) {
   Figure3Fixture fixture;
   RequestCache cache;
 
@@ -339,13 +339,11 @@ TEST(RequestCacheTest, TruncatedRunsReusePlanButNeverResults) {
   auto second = cache.Execute(fixture.catalog, fixture.schedule, request,
                               &outcome);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  // Still a miss — incomplete answers are never served from cache — but
-  // the lowered plan is reused.
+  // Still a miss: incomplete answers are never served from cache.
   EXPECT_EQ(outcome, CacheOutcome::kMiss);
 
   cache::CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.result_entries, 0u);
-  EXPECT_GE(stats.plan_hits, 1);
 }
 
 TEST(RequestCacheTest, InMemoryOnlyGoalBypasses) {
@@ -364,13 +362,11 @@ TEST(RequestCacheTest, InMemoryOnlyGoalBypasses) {
   cache::CacheStats stats = cache.Stats();
   EXPECT_GE(stats.bypasses, 1);
   EXPECT_EQ(stats.result_entries, 0u);
-  EXPECT_EQ(stats.plan_entries, 0u);
 }
 
 TEST(RequestCacheTest, TiersAreLruBounded) {
   Figure3Fixture fixture;
   cache::CacheConfig config;
-  config.plan_capacity = 2;
   config.result_capacity = 2;
   RequestCache cache(config);
 
@@ -389,7 +385,6 @@ TEST(RequestCacheTest, TiersAreLruBounded) {
 
   cache::CacheStats stats = cache.Stats();
   EXPECT_LE(stats.result_entries, 2u);
-  EXPECT_LE(stats.plan_entries, 2u);
   EXPECT_GE(stats.evictions, 1);
 
   // The least-recently-used entry (the first deadline) was evicted.

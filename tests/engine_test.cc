@@ -117,7 +117,7 @@ TEST(PruningOracleTest, TimeVerdictMatchesEquationOne) {
   // Skip child (|W| = 0): left stays 2 > 1 -> time-pruned.
   EXPECT_EQ(oracle.ClassifyChild(none, 0, fix.fall11 + 1, left),
             internal::PruningOracle::Verdict::kPrunedTime);
-  EXPECT_EQ(engine.metrics().pruned_time, 1);
+  EXPECT_EQ(engine.tallies().pruned_time, 1);
   // Equation 1's minimum selection size at the root: left - m*(d-s-1) =
   // 2 - 1 = 1.
   EXPECT_EQ(oracle.MinSelectionSize(left, fix.fall11), 1);
@@ -149,7 +149,7 @@ TEST(PruningOracleTest, AvailabilityVerdict) {
   DynamicBitset at_fall12 = missing21;
   EXPECT_EQ(oracle.ClassifyChild(at_fall12, 2, fix.fall11 + 2, -1),
             internal::PruningOracle::Verdict::kPrunedAvailability);
-  EXPECT_EQ(engine.metrics().pruned_availability, 1);
+  EXPECT_EQ(engine.tallies().pruned_availability, 1);
   // Same child entering Spring'12 instead: 21A still ahead -> keep.
   EXPECT_EQ(oracle.ClassifyChild(missing21, 2, fix.fall11 + 1, -1),
             internal::PruningOracle::Verdict::kKeep);

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/counting.h"
 #include "core/goal_generator.h"
+#include "core/ranked_generator.h"
+#include "core/ranking.h"
 #include "core/stats.h"
 #include "requirements/expr_goal.h"
 #include "tests/test_util.h"
@@ -104,28 +108,6 @@ TEST(MetricRegistryTest, SnapshotIsSortedAndComplete) {
   EXPECT_EQ(snapshot[3].sum, 100);
 }
 
-TEST(MetricRegistryTest, AccumulateIntoFoldsExactly) {
-  MetricRegistry run;
-  run.GetCounter("nodes_total")->Increment(5);
-  run.GetGauge("peak")->Set(40);
-  run.GetHistogram("latency_us")->Observe(3);
-  run.GetHistogram("latency_us")->Observe(100);
-
-  MetricRegistry global;
-  global.GetCounter("nodes_total")->Increment(10);
-  global.GetGauge("peak")->Set(60);
-
-  run.AccumulateInto(&global);
-  EXPECT_EQ(global.GetCounter("nodes_total")->Value(), 15);
-  // Gauges propagate as UpdateMax: 40 < 60 leaves the peak alone.
-  EXPECT_EQ(global.GetGauge("peak")->Value(), 60);
-  Histogram* merged = global.GetHistogram("latency_us");
-  EXPECT_EQ(merged->Count(), 2);
-  EXPECT_EQ(merged->Sum(), 103);
-  EXPECT_EQ(merged->BucketCount(Histogram::BucketIndex(3)), 1);
-  EXPECT_EQ(merged->BucketCount(Histogram::BucketIndex(100)), 1);
-}
-
 TEST(PrometheusRenderTest, EmitsTypedSeriesWithPrefix) {
   MetricRegistry registry;
   registry.GetCounter("nodes_total")->Increment(7);
@@ -172,38 +154,39 @@ TEST(ExplorationStatsTest, ToStringIncludesRuntimeAndPruningShares) {
   EXPECT_NE(text.find("runtime_seconds=0.250"), std::string::npos) << text;
 }
 
-TEST(ExplorationStatsTest, FromMetricsMirrorsEveryCounter) {
-  MetricRegistry registry;
-  obs::ExplorationMetrics metrics(&registry);
-  metrics.nodes_created = 11;
-  metrics.edges_created = 12;
-  metrics.nodes_expanded = 9;
-  metrics.terminal_paths = 4;
-  metrics.goal_paths = 3;
-  metrics.dead_end_paths = 1;
-  metrics.pruned_time = 8;
-  metrics.pruned_availability = 2;
+TEST(ExplorationStatsTest, MergeFromAddsEveryTallyButNotTheRuntime) {
+  ExplorationStats run;
+  run.nodes_created = 11;
+  run.budget_checks = 20;
+  run.runtime_seconds = 0.5;
+  ExplorationStats worker;
+  worker.nodes_created = 1;
+  worker.edges_created = 2;
+  worker.nodes_expanded = 3;
+  worker.terminal_paths = 4;
+  worker.goal_paths = 5;
+  worker.dead_end_paths = 6;
+  worker.pruned_time = 7;
+  worker.pruned_availability = 8;
+  worker.budget_checks = 9;
+  worker.runtime_seconds = 9.0;
 
-  ExplorationStats stats = ExplorationStats::FromMetrics(metrics, 0.5);
-  EXPECT_EQ(stats.nodes_created, 11);
-  EXPECT_EQ(stats.edges_created, 12);
-  EXPECT_EQ(stats.nodes_expanded, 9);
-  EXPECT_EQ(stats.terminal_paths, 4);
-  EXPECT_EQ(stats.goal_paths, 3);
-  EXPECT_EQ(stats.dead_end_paths, 1);
-  EXPECT_EQ(stats.pruned_time, 8);
-  EXPECT_EQ(stats.pruned_availability, 2);
-  EXPECT_EQ(stats.runtime_seconds, 0.5);
+  run.MergeFrom(worker);
+  EXPECT_EQ(run.nodes_created, 12);
+  EXPECT_EQ(run.edges_created, 2);
+  EXPECT_EQ(run.nodes_expanded, 3);
+  EXPECT_EQ(run.terminal_paths, 4);
+  EXPECT_EQ(run.goal_paths, 5);
+  EXPECT_EQ(run.dead_end_paths, 6);
+  EXPECT_EQ(run.pruned_time, 7);
+  EXPECT_EQ(run.pruned_availability, 8);
+  EXPECT_EQ(run.budget_checks, 29);
+  EXPECT_EQ(run.runtime_seconds, 0.5);
 
-  // Publish pushes the tallies into the registry's counters, and only the
-  // delta since the last publish: publishing twice must not double-count.
-  metrics.Publish();
-  metrics.Publish();
-  EXPECT_EQ(registry.GetCounter(obs::kMetricNodesCreated)->Value(), 11);
-  EXPECT_EQ(registry.GetCounter(obs::kMetricPrunedTime)->Value(), 8);
-  metrics.goal_paths += 2;
-  metrics.Publish();
-  EXPECT_EQ(registry.GetCounter(obs::kMetricGoalPaths)->Value(), 5);
+  // Budget checks are published as a metric only; the printed forms keep
+  // their fields.
+  EXPECT_EQ(run.ToString().find("budget"), std::string::npos);
+  EXPECT_FALSE(run.ToJson().Has("budget_checks"));
 }
 
 #if COURSENAV_TRACING
@@ -557,28 +540,112 @@ TEST(FlightRecorderTest, ZeroQuietWindowDumpsEveryFailure) {
   EXPECT_EQ(dumps, 3);
 }
 
-TEST(GlobalMetricsTest, FinishedRunsFoldIntoGlobalRegistry) {
-  int64_t nodes_before =
-      obs::GlobalMetrics().GetCounter(obs::kMetricNodesCreated)->Value();
-  int64_t runs_before =
-      obs::GlobalMetrics().GetCounter(obs::kMetricRuns)->Value();
+/// The nine run-tally series, in ExplorationStats field order.
+constexpr std::string_view kRunTallySeries[] = {
+    obs::kMetricNodesCreated,   obs::kMetricEdgesCreated,
+    obs::kMetricNodesExpanded,  obs::kMetricTerminalPaths,
+    obs::kMetricGoalPaths,      obs::kMetricDeadEndPaths,
+    obs::kMetricPrunedTime,     obs::kMetricPrunedAvailability,
+    obs::kMetricBudgetChecks,
+};
 
+std::vector<int64_t> RunTallySeriesValues() {
+  std::vector<int64_t> values;
+  for (std::string_view name : kRunTallySeries) {
+    values.push_back(obs::GlobalMetrics().GetCounter(name)->Value());
+  }
+  return values;
+}
+
+std::vector<int64_t> TallyValues(const ExplorationStats& stats) {
+  return {stats.nodes_created,  stats.edges_created,
+          stats.nodes_expanded, stats.terminal_paths,
+          stats.goal_paths,     stats.dead_end_paths,
+          stats.pruned_time,    stats.pruned_availability,
+          stats.budget_checks};
+}
+
+/// Runs `run`, which returns the finished run's tallies, and expects every
+/// run-tally series to move by exactly those tallies and the runs counter
+/// by exactly one.
+void ExpectPublishedExactly(const std::string& label,
+                            const std::function<ExplorationStats()>& run) {
+  SCOPED_TRACE(label);
+  obs::Counter* runs = obs::GlobalMetrics().GetCounter(obs::kMetricRuns);
+  const std::vector<int64_t> before = RunTallySeriesValues();
+  const int64_t runs_before = runs->Value();
+  const ExplorationStats tallies = run();
+  const std::vector<int64_t> after = RunTallySeriesValues();
+  const std::vector<int64_t> expected = TallyValues(tallies);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], expected[i]) << kRunTallySeries[i];
+  }
+  EXPECT_EQ(runs->Value() - runs_before, 1);
+  EXPECT_GT(tallies.nodes_created, 0);
+  EXPECT_GT(tallies.budget_checks, 0);
+}
+
+TEST(GlobalMetricsTest, FinishedRunsFoldIntoGlobalRegistry) {
   Figure3Fixture fix;
   Term fall12(Season::kFall, 2012);
-  ExplorationOptions options;
   auto goal = ExprGoal::CompleteAll({"11A", "29A", "21A"}, fix.catalog);
   ASSERT_TRUE(goal.ok());
-  auto result = GenerateGoalDrivenPaths(fix.catalog, fix.schedule,
-                                        fix.FreshStudent(), fall12, **goal,
-                                        options);
-  ASSERT_TRUE(result.ok());
-  ASSERT_GT(result->stats.nodes_created, 0);
 
-  // The engine's destructor published the run into the global registry.
-  EXPECT_GE(obs::GlobalMetrics().GetCounter(obs::kMetricNodesCreated)->Value(),
-            nodes_before + result->stats.nodes_created);
-  EXPECT_GE(obs::GlobalMetrics().GetCounter(obs::kMetricRuns)->Value(),
-            runs_before + 1);
+  for (int threads : {0, 4}) {
+    ExpectPublishedExactly(
+        "goal run, threads=" + std::to_string(threads), [&] {
+          ExplorationOptions options;
+          options.num_threads = threads;
+          auto result = GenerateGoalDrivenPaths(fix.catalog, fix.schedule,
+                                                fix.FreshStudent(), fall12,
+                                                **goal, options);
+          EXPECT_TRUE(result.ok());
+          EXPECT_GT(result->stats.pruned_availability, 0);
+          return result->stats;
+        });
+  }
+
+  ExpectPublishedExactly("ranked run", [&] {
+    TimeRanking ranking;
+    auto result =
+        GenerateRankedPaths(fix.catalog, fix.schedule, fix.FreshStudent(),
+                            fall12, **goal, ranking, 3, ExplorationOptions());
+    EXPECT_TRUE(result.ok());
+    EXPECT_FALSE(result->paths.empty());
+    return result->stats;
+  });
+
+#if COURSENAV_TRACING
+  // A count visits each distinct status once: it creates it and checks the
+  // budget before expanding it, and materializes no edge, expansion or
+  // leaf. Its pruning tallies are the ones its stage spans report.
+  ExpectPublishedExactly("goal count", [&] {
+    obs::Tracer tracer;
+    Result<CountingResult> counted = Status::Internal("not run");
+    {
+      obs::ScopedTracer install(&tracer);
+      counted = CountGoalDrivenPaths(fix.catalog, fix.schedule,
+                                     fix.FreshStudent(), fall12, **goal,
+                                     ExplorationOptions());
+    }
+    EXPECT_TRUE(counted.ok());
+    ExplorationStats tallies;
+    tallies.nodes_created = counted->distinct_statuses;
+    tallies.budget_checks = counted->distinct_statuses;
+    for (const obs::SpanRecord& span : tracer.Spans()) {
+      for (const obs::SpanAttribute& attribute : span.attributes) {
+        if (attribute.key != "pruned") continue;
+        if (span.name == obs::kSpanPruneTime) {
+          tallies.pruned_time = attribute.int_value;
+        } else if (span.name == obs::kSpanPruneAvailability) {
+          tallies.pruned_availability = attribute.int_value;
+        }
+      }
+    }
+    EXPECT_GT(tallies.TotalPruned(), 0);
+    return tallies;
+  });
+#endif  // COURSENAV_TRACING
 }
 
 }  // namespace

@@ -125,11 +125,11 @@ void RunDifferential(const SyntheticFixture& fix,
       EXPECT_EQ(batch_verdicts[i], ref_verdicts[i])
           << "seed=" << seed << " round=" << round << " candidate=" << i;
     }
-    EXPECT_EQ(batch_engine.metrics().pruned_time,
-              ref_engine.metrics().pruned_time)
+    EXPECT_EQ(batch_engine.tallies().pruned_time,
+              ref_engine.tallies().pruned_time)
         << "seed=" << seed << " round=" << round;
-    EXPECT_EQ(batch_engine.metrics().pruned_availability,
-              ref_engine.metrics().pruned_availability)
+    EXPECT_EQ(batch_engine.tallies().pruned_availability,
+              ref_engine.tallies().pruned_availability)
         << "seed=" << seed << " round=" << round;
   }
 }
