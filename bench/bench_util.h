@@ -3,6 +3,7 @@
 
 #include <sys/resource.h>
 
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,7 +14,16 @@
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "util/json.h"
+#include "util/simd/simd.h"
 #include "util/string_util.h"
+
+// Set on every bench target by bench/CMakeLists.txt.
+#ifndef COURSENAV_BENCH_BUILD_TYPE
+#define COURSENAV_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef COURSENAV_BENCH_SOURCE_DIR
+#define COURSENAV_BENCH_SOURCE_DIR ""
+#endif
 
 namespace coursenav::bench {
 
@@ -58,10 +68,34 @@ inline uint64_t PeakRssBytes() {
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
 }
 
+/// The short commit id of the checkout the bench was built from, read at
+/// run time as perfbench/run.py reads it (`git rev-parse --short HEAD` in
+/// that tree, never in a repository above it), or "unknown" outside a
+/// checkout.
+inline std::string CheckoutCommit() {
+  const std::string root = COURSENAV_BENCH_SOURCE_DIR;
+  const size_t slash = root.find_last_of('/');
+  if (root.empty() || slash == std::string::npos) return "unknown";
+  const std::string command = "GIT_CEILING_DIRECTORIES='" +
+                              root.substr(0, slash) + "' git -C '" + root +
+                              "' rev-parse --short HEAD 2>/dev/null";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "unknown";
+  std::string out;
+  char buf[64];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const bool ok = pclose(pipe) == 0;
+  while (!out.empty() && std::isspace(static_cast<unsigned char>(out.back()))) {
+    out.pop_back();
+  }
+  return ok && !out.empty() ? out : "unknown";
+}
+
 /// Machine-readable sibling of the printed tables: rows of key->value
-/// objects plus run-level context (threads, peak RSS), dumped as one JSON
-/// document so the perf trajectory is trackable across PRs
-/// (`BENCH_table2.json`, `BENCH_figure4.json`, ...).
+/// objects plus a header naming what was measured (the checkout's commit,
+/// the build type, the active SIMD kernel table, threads) and the run's
+/// peak RSS, dumped as one JSON document so the perf trajectory is
+/// trackable across PRs (`BENCH_table2.json`, `BENCH_figure4.json`, ...).
 class BenchReport {
  public:
   BenchReport(std::string bench_name, const BenchArgs& args)
@@ -75,6 +109,9 @@ class BenchReport {
   bool WriteTo(const std::string& path) const {
     JsonValue::Object doc;
     doc["bench"] = name_;
+    doc["commit"] = CheckoutCommit();
+    doc["build_type"] = COURSENAV_BENCH_BUILD_TYPE;
+    doc["simd"] = simd::Active().name;
     doc["full"] = full_;
     doc["threads"] = threads_;
     doc["peak_rss_bytes"] = static_cast<int64_t>(PeakRssBytes());

@@ -156,21 +156,8 @@ Result<std::shared_ptr<const ExplorationResponse>> RequestCache::Execute(
   SetOutcome(outcome, CacheOutcome::kMiss);
   lookup_span.reset();
 
-  // Availability tier: thread the epoch's shared verdict cache into the
-  // run. The shared_ptr keeps the tier alive for the whole run even if a
-  // concurrent eviction drops the map's reference.
-  plan::ExecHooks hooks;
-  std::shared_ptr<internal::SharedAvailabilityCache> availability;
-  if (request.goal != nullptr && !request.goal_spec.empty() &&
-      request.config.cache_availability_checks &&
-      (request.type == TaskType::kGoalDriven ||
-       request.type == TaskType::kRanked)) {
-    availability = AvailabilityTier(epoch.token, request.goal_spec);
-    hooks.shared_availability = availability.get();
-  }
-
   COURSENAV_ASSIGN_OR_RETURN(ExplorationResponse run,
-                             plan::Execute(catalog, schedule, request, hooks));
+                             plan::Execute(catalog, schedule, request));
   // One object serves the caller and, when stored, every later hit.
   auto response = std::make_shared<const ExplorationResponse>(std::move(run));
 
@@ -292,31 +279,6 @@ Result<uint64_t> RequestCache::CountGoalPaths(
   return counted.goal_paths;
 }
 
-std::shared_ptr<internal::SharedAvailabilityCache>
-RequestCache::AvailabilityTier(uint64_t epoch_token,
-                               const std::string& goal_key) {
-  MutexLock lock(avail_mu_);
-  for (AvailabilityEpoch& tier : avail_epochs_) {
-    if (tier.epoch_token == epoch_token) {
-      std::shared_ptr<internal::SharedAvailabilityCache>& slot =
-          tier.by_goal[goal_key];
-      if (slot == nullptr) {
-        slot = std::make_shared<internal::SharedAvailabilityCache>();
-      }
-      return slot;
-    }
-  }
-  avail_epochs_.push_back(AvailabilityEpoch{epoch_token, {}});
-  while (avail_epochs_.size() > config_.availability_epochs) {
-    avail_epochs_.erase(avail_epochs_.begin());
-    Bump(tallies_.evictions, evictions_);
-  }
-  std::shared_ptr<internal::SharedAvailabilityCache>& slot =
-      avail_epochs_.back().by_goal[goal_key];
-  slot = std::make_shared<internal::SharedAvailabilityCache>();
-  return slot;
-}
-
 void RequestCache::Invalidate(const Catalog& catalog,
                               const OfferingSchedule& schedule) {
   EpochRegistry::Global().Invalidate(catalog, schedule);
@@ -334,10 +296,6 @@ void RequestCache::Clear() {
     MutexLock lock(count_mu_);
     counts_.order.clear();
     counts_.index.clear();
-  }
-  {
-    MutexLock lock(avail_mu_);
-    avail_epochs_.clear();
   }
   result_bytes_gauge_->Set(0);
 }

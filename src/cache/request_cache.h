@@ -8,7 +8,6 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "cache/epoch.h"
 #include "catalog/catalog.h"
@@ -17,7 +16,6 @@
 #include "core/counting.h"
 #include "core/enrollment.h"
 #include "core/options.h"
-#include "core/pruning.h"
 #include "obs/metrics.h"
 #include "plan/executor.h"
 #include "plan/request.h"
@@ -56,9 +54,6 @@ struct CacheConfig {
   size_t result_capacity = 64;
   size_t result_max_bytes = 256u << 20;  // 256 MiB of cached graphs
   size_t count_capacity = 1024;
-  /// Distinct epochs whose availability-verdict tiers are kept live; older
-  /// epochs' tiers are dropped wholesale (they are unreachable anyway).
-  size_t availability_epochs = 4;
 };
 
 /// Point-in-time counters, for /statusz and tests.
@@ -75,9 +70,10 @@ struct CacheStats {
   size_t count_entries = 0;
 };
 
-/// The process-wide epoch-keyed request cache: canonical-result,
-/// goal-path-count, and availability-verdict reuse across sessions and
-/// serve workers (docs/caching.md).
+/// The process-wide epoch-keyed request cache: canonical-result and
+/// goal-path-count reuse across sessions and serve workers
+/// (docs/caching.md). Availability verdicts are not shared: each run's
+/// pruning oracles keep their own.
 ///
 /// Correctness rests on two rules:
 ///   1. Every key includes the dataset's epoch token (cache/epoch.h), so a
@@ -98,9 +94,9 @@ struct CacheStats {
 /// wall-clock-budget-free result key sound (see docs/caching.md).
 ///
 /// All methods are thread-safe. The tier mutexes (`result_mu_`,
-/// `count_mu_`, `avail_mu_`) are leaf locks, never nested
-/// with each other or any other lock, and never held across an
-/// exploration run (tools/lint/lock_order.txt).
+/// `count_mu_`) are leaf locks, never nested with each other or any other
+/// lock, and never held across an exploration run
+/// (tools/lint/lock_order.txt).
 class RequestCache {
  public:
   explicit RequestCache(CacheConfig config = {});
@@ -112,10 +108,9 @@ class RequestCache {
   static RequestCache& Global();
 
   /// Cache-aware replacement for plan::Execute: consults the result tier,
-  /// and on a miss lowers and runs `request` against (catalog, schedule)
-  /// with the epoch's shared availability tier threaded into the run. A hit
-  /// returns the stored response; a miss returns the fresh run, which is
-  /// also the object stored when the run completed at a stable epoch; a
+  /// and on a miss lowers and runs `request` against (catalog, schedule).
+  /// A hit returns the stored response; a miss returns the fresh run, which
+  /// is also the object stored when the run completed at a stable epoch; a
   /// bypass returns the fresh run unstored. Never null on success.
   /// `outcome` (optional) reports how the answer was produced.
   Result<std::shared_ptr<const ExplorationResponse>> Execute(
@@ -154,13 +149,6 @@ class RequestCache {
     /// pointer embedded in the key stays unique (no address reuse).
     std::shared_ptr<const Goal> pin;
   };
-  /// One epoch's availability-verdict tiers, one per goal spec.
-  struct AvailabilityEpoch {
-    uint64_t epoch_token = 0;
-    std::unordered_map<std::string,
-                       std::shared_ptr<internal::SharedAvailabilityCache>>
-        by_goal;
-  };
   template <typename Value>
   struct LruMap {
     std::list<std::pair<std::string, Value>> order;  // front = most recent
@@ -170,12 +158,6 @@ class RequestCache {
         index;
   };
 
-  /// The epoch's shared availability tier for `goal_key`, created on first
-  /// use. The returned tier stays alive at least as long as the returned
-  /// shared_ptr (eviction drops the map's reference only).
-  std::shared_ptr<internal::SharedAvailabilityCache> AvailabilityTier(
-      uint64_t epoch_token, const std::string& goal_key);
-
   const CacheConfig config_;
 
   mutable Mutex result_mu_;
@@ -184,9 +166,6 @@ class RequestCache {
 
   mutable Mutex count_mu_;
   LruMap<CountEntry> counts_ CN_GUARDED_BY(count_mu_);
-
-  mutable Mutex avail_mu_;
-  std::vector<AvailabilityEpoch> avail_epochs_ CN_GUARDED_BY(avail_mu_);
 
   /// Per-instance tallies (lock-free), the source of truth for Stats().
   /// Each bump also mirrors into the process-global obs registry's cache_*

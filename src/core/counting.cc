@@ -9,6 +9,7 @@
 #include "core/expand.h"
 #include "obs/trace.h"
 #include "util/bitset.h"
+#include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/simd/simd.h"
 #include "util/string_util.h"
@@ -132,6 +133,9 @@ class CountingRun {
     // (they are what bounds counting work, as max_nodes does graphs).
     engine_.tallies().nodes_created += statuses_;
     expander_.EmitStageSpans();
+    if (CN_DCHECK_IS_ON() && expander_.oracle() != nullptr) {
+      expander_.oracle()->CheckInvariants();
+    }
     run_span.AddInt("distinct_statuses", statuses_);
     if (!counted.ok()) return counted;
     CountingResult result;

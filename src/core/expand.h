@@ -25,14 +25,6 @@ namespace coursenav::internal {
 struct ExpandSpec {
   const Goal* goal = nullptr;
   const GoalDrivenConfig* config = nullptr;  // required when goal != null
-
-  /// Optional availability-pruning L3: a process-wide, epoch-scoped
-  /// `SharedAvailabilityCache` (src/cache/) the oracles consult behind their
-  /// private L1. Null keeps the per-run caches. Verdicts are a pure
-  /// function of (term, reachable set) for the monotone goals the oracle
-  /// caches, so sharing across runs of the same catalog epoch cannot change
-  /// any verdict, only skip recomputing it.
-  SharedAvailabilityCache* shared_availability = nullptr;
 };
 
 /// What `Expander::Expand` made of one status.
@@ -74,8 +66,7 @@ class Expander {
         child_completed_(engine.catalog().size()),
         child_selection_(engine.catalog().size()) {
     if (goal_ != nullptr) {
-      oracle_.emplace(*goal_, engine, engine.options(), *spec.config,
-                      tallies_, spec.shared_availability);
+      oracle_.emplace(*goal_, engine, engine.options(), *spec.config, tallies_);
     }
     batch_.Configure(engine.catalog().size());
   }

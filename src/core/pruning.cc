@@ -1,7 +1,6 @@
 #include "core/pruning.h"
 
 #include <cstdint>
-#include <utility>
 
 #include "util/check.h"
 
@@ -10,14 +9,12 @@ namespace coursenav::internal {
 PruningOracle::PruningOracle(const Goal& goal, const ExplorationEngine& engine,
                              const ExplorationOptions& options,
                              const GoalDrivenConfig& config,
-                             ExplorationStats* tallies,
-                             SharedAvailabilityCache* shared_cache)
+                             ExplorationStats* tallies)
     : goal_(goal),
       engine_(engine),
       options_(options),
       config_(config),
       tallies_(tallies != nullptr ? tallies : &engine.tallies()),
-      shared_cache_(shared_cache),
       goal_is_monotone_(goal.IsMonotone()) {}
 
 int PruningOracle::LeftAt(const DynamicBitset& completed) const {
@@ -98,6 +95,17 @@ void PruningOracle::CheckInvariants() const {
   }
 }
 
+bool PruningOracle::MemoizedAchievable(VerdictMemo& memo,
+                                       const DynamicBitset& reachable,
+                                       const DynamicBitset& completed,
+                                       const DynamicBitset& available) {
+  auto it = memo.find(reachable);
+  if (it != memo.end()) return it->second;
+  const bool achievable = goal_.AchievableWith(completed, available);
+  memo.emplace(reachable, achievable);
+  return achievable;
+}
+
 PruningOracle::Verdict PruningOracle::ClassifyChild(
     const DynamicBitset& child_completed, int selection_size, Term child_term,
     int left_parent) {
@@ -128,23 +136,9 @@ PruningOracle::Verdict PruningOracle::ClassifyChild(
     if (config_.cache_availability_checks && goal_is_monotone_) {
       DynamicBitset reachable = child_completed;
       reachable |= available;
-      auto& per_term = availability_cache_[child_term.index()];
-      auto it = per_term.find(reachable);
-      if (it != per_term.end()) {
-        achievable = it->second;
-      } else if (shared_cache_ != nullptr &&
-                 shared_cache_->Lookup(child_term.index(), reachable,
-                                       &achievable)) {
-        // L2 hit (another worker computed this verdict); replicate into L1
-        // so repeats stay lock-free.
-        per_term.emplace(std::move(reachable), achievable);
-      } else {
-        achievable = goal_.AchievableWith(child_completed, available);
-        if (shared_cache_ != nullptr) {
-          shared_cache_->Insert(child_term.index(), reachable, achievable);
-        }
-        per_term.emplace(std::move(reachable), achievable);
-      }
+      achievable =
+          MemoizedAchievable(availability_cache_[child_term.index()],
+                             reachable, child_completed, available);
     } else {
       achievable = goal_.AchievableWith(child_completed, available);
     }
@@ -180,8 +174,8 @@ void PruningOracle::ClassifyBatch(const CandidateBatch& batch, Term child_term,
                                      batch_bounds_.data());
     }
     // coursenav:hot — the batched time-verdict loop; the bounds buffer is
-    // sized above and the availability phase (locks, cache inserts) is
-    // outside the region.
+    // sized above and the availability phase (memo inserts) is outside
+    // the region.
     for (size_t i = 0; i < count; ++i) {
       // Fast certain-prune: one semester reduces `left` by at most |W|.
       if (left_parent - batch.selection_size(i) > child_bound ||
@@ -197,39 +191,21 @@ void PruningOracle::ClassifyBatch(const CandidateBatch& batch, Term child_term,
     obs::StageSample sample(&availability_stage_);
     const DynamicBitset& available = engine_.AvailableFrom(child_term);
     if (config_.cache_availability_checks && goal_is_monotone_) {
-      // The cache dance must mirror ClassifyChild row for row (same final
-      // L1/L2 contents), but probes reuse two scratch sets so cache hits
-      // and misses alike allocate only on insert.
+      // The same memo probes as ClassifyChild's, row for row, but on two
+      // scratch sets, so hits and misses alike allocate only on insert.
       if (batch_reachable_scratch_.universe_size() !=
           available.universe_size()) {
         batch_reachable_scratch_ = DynamicBitset(available.universe_size());
         batch_completed_scratch_ = DynamicBitset(available.universe_size());
       }
-      auto& per_term = availability_cache_[child_term.index()];
+      VerdictMemo& memo = availability_cache_[child_term.index()];
       for (size_t i = 0; i < count; ++i) {
         if ((*verdicts)[i] != Verdict::kKeep) continue;
+        batch_completed_scratch_.AssignWords(batch.completed_row(i));
         batch_reachable_scratch_.AssignWords(batch.completed_row(i));
         batch_reachable_scratch_ |= available;
-        bool achievable;
-        auto it = per_term.find(batch_reachable_scratch_);
-        if (it != per_term.end()) {
-          achievable = it->second;
-        } else if (shared_cache_ != nullptr &&
-                   shared_cache_->Lookup(child_term.index(),
-                                         batch_reachable_scratch_,
-                                         &achievable)) {
-          per_term.emplace(batch_reachable_scratch_, achievable);
-        } else {
-          batch_completed_scratch_.AssignWords(batch.completed_row(i));
-          achievable =
-              goal_.AchievableWith(batch_completed_scratch_, available);
-          if (shared_cache_ != nullptr) {
-            shared_cache_->Insert(child_term.index(),
-                                  batch_reachable_scratch_, achievable);
-          }
-          per_term.emplace(batch_reachable_scratch_, achievable);
-        }
-        if (!achievable) {
+        if (!MemoizedAchievable(memo, batch_reachable_scratch_,
+                                batch_completed_scratch_, available)) {
           (*verdicts)[i] = Verdict::kPrunedAvailability;
           tallies_->pruned_availability += 1;
         }

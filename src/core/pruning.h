@@ -1,7 +1,6 @@
 #ifndef COURSENAV_CORE_PRUNING_H_
 #define COURSENAV_CORE_PRUNING_H_
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -17,8 +16,6 @@
 #include "obs/trace.h"
 #include "requirements/goal.h"
 #include "util/bitset.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace coursenav {
 
@@ -42,8 +39,9 @@ struct GoalDrivenConfig {
   bool enforce_min_selection = true;
 
   /// Memoize availability-pruning verdicts per (semester, reachable-set)
-  /// key (effective for monotone goals only). Pure optimization; disable
-  /// for the ablation bench.
+  /// key in each pruning oracle's private memo (effective for monotone
+  /// goals only); off, each candidate batch is evaluated by the goal's
+  /// batched kernel. Pure optimization; disable for the ablation bench.
   bool cache_availability_checks = true;
 };
 
@@ -126,92 +124,21 @@ class CandidateBatch {
   std::vector<int> selection_sizes_;
 };
 
-/// Read-mostly second-level availability-pruning cache shared by the
-/// per-worker oracles of one parallel run. Keys are (term index,
-/// reachable-set) pairs — the same key space as the oracle's private L1
-/// map — behind a small array of striped mutexes so concurrent lookups of
-/// unrelated keys rarely contend. Verdicts are immutable once computed, so
-/// a racing double-insert of the same key stores the same value and the
-/// first entry simply wins.
-class SharedAvailabilityCache {
- public:
-  /// Returns true and sets `*achievable` on a hit.
-  bool Lookup(int term_index, const DynamicBitset& reachable,
-              bool* achievable) const {
-    const Stripe& stripe = StripeFor(term_index, reachable);
-    MutexLock lock(stripe.mu);
-    auto it = stripe.verdicts.find(Key{term_index, &reachable});
-    if (it == stripe.verdicts.end()) return false;
-    *achievable = it->second;
-    return true;
-  }
-
-  void Insert(int term_index, DynamicBitset reachable, bool achievable) {
-    Stripe& stripe = StripeFor(term_index, reachable);
-    MutexLock lock(stripe.mu);
-    auto it = stripe.verdicts.find(Key{term_index, &reachable});
-    if (it != stripe.verdicts.end()) return;
-    stripe.owned.push_back(
-        std::make_unique<DynamicBitset>(std::move(reachable)));
-    stripe.verdicts.emplace(Key{term_index, stripe.owned.back().get()},
-                            achievable);
-  }
-
- private:
-  /// The map never owns the bitset it keys on directly (lookups would then
-  /// copy the probe); it keys on a pointer plus deep-compare semantics,
-  /// with inserted keys kept alive in `owned`.
-  struct Key {
-    int term_index;
-    const DynamicBitset* reachable;
-    bool operator==(const Key& other) const {
-      return term_index == other.term_index &&
-             *reachable == *other.reachable;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      return DynamicBitsetHash{}(*key.reachable) * 1000003u +
-             static_cast<size_t>(key.term_index);
-    }
-  };
-  struct Stripe {
-    mutable Mutex mu;
-    std::unordered_map<Key, bool, KeyHash> verdicts CN_GUARDED_BY(mu);
-    std::vector<std::unique_ptr<DynamicBitset>> owned CN_GUARDED_BY(mu);
-  };
-
-  static constexpr size_t kNumStripes = 8;
-
-  const Stripe& StripeFor(int term_index,
-                          const DynamicBitset& reachable) const {
-    return stripes_[KeyHash{}(Key{term_index, &reachable}) % kNumStripes];
-  }
-  Stripe& StripeFor(int term_index, const DynamicBitset& reachable) {
-    return stripes_[KeyHash{}(Key{term_index, &reachable}) % kNumStripes];
-  }
-
-  std::array<Stripe, kNumStripes> stripes_;
-};
-
 /// Implements the paper's two pruning strategies for one generation run,
 /// with instrumentation. Internal — used by the goal-driven and ranked
-/// generators (one oracle per run), and by the parallel expander (one
-/// oracle per worker, each with the worker's own tally sheet and all sharing
-/// one `SharedAvailabilityCache` L2).
+/// generators (one oracle per run), by the parallel expander (one oracle
+/// per worker, each with the worker's own tally sheet and verdict memo) and
+/// by the layered counter.
 class PruningOracle {
  public:
   enum class Verdict { kKeep, kPrunedTime, kPrunedAvailability };
 
   /// All references must outlive the oracle. `tallies` is where pruning
   /// tallies land; null means the engine's own sheet (the serial path).
-  /// `shared_cache` adds a cross-worker L2 behind the private L1 map; null
-  /// (the serial path) keeps the oracle lock-free.
   PruningOracle(const Goal& goal, const ExplorationEngine& engine,
                 const ExplorationOptions& options,
                 const GoalDrivenConfig& config,
-                ExplorationStats* tallies = nullptr,
-                SharedAvailabilityCache* shared_cache = nullptr);
+                ExplorationStats* tallies = nullptr);
 
   /// `left_i` at a node about to be expanded, or -1 when time pruning is
   /// disabled (the value is then never used).
@@ -265,8 +192,8 @@ class PruningOracle {
   /// or without an installed tracer.
   static void EmitStageSpans(std::span<const PruningOracle* const> oracles);
 
-  /// Structural validator (debug builds): aborts via CN_CHECK when an L1
-  /// availability-cache entry is inconsistent with the run's catalog —
+  /// Structural validator (debug builds): aborts via CN_CHECK when a
+  /// memoized availability verdict is inconsistent with the run's catalog —
   /// a term index outside the exploration window, a reachable set whose
   /// universe differs from the catalog's, or a reachable set missing
   /// courses that are certainly available from its term. Call sites gate
@@ -274,21 +201,29 @@ class PruningOracle {
   void CheckInvariants() const;
 
  private:
+  using VerdictMemo =
+      std::unordered_map<DynamicBitset, bool, DynamicBitsetHash>;
+
+  /// The memo probe both classifiers share (monotone goals with
+  /// `cache_availability_checks` only): the verdict memoized for
+  /// `reachable` (= `completed` ∪ `available`), else `AchievableWith`'s,
+  /// inserted into `memo`.
+  bool MemoizedAchievable(VerdictMemo& memo, const DynamicBitset& reachable,
+                          const DynamicBitset& completed,
+                          const DynamicBitset& available);
+
   const Goal& goal_;
   const ExplorationEngine& engine_;
   const ExplorationOptions& options_;
   const GoalDrivenConfig& config_;
   ExplorationStats* tallies_;
-  SharedAvailabilityCache* shared_cache_;
   bool goal_is_monotone_;
   obs::StageAccumulator time_stage_;
   obs::StageAccumulator availability_stage_;
 
-  /// L1: term index -> reachable-set -> achievability verdict. Private to
-  /// this oracle (one worker), so lookups take no lock.
-  std::unordered_map<
-      int, std::unordered_map<DynamicBitset, bool, DynamicBitsetHash>>
-      availability_cache_;
+  /// Term index -> reachable set -> achievability verdict. Private to this
+  /// oracle (one worker), so probes take no lock.
+  std::unordered_map<int, VerdictMemo> availability_cache_;
 
   /// ClassifyBatch scratch (reused across batches; sized on first use).
   std::vector<int> batch_bounds_;

@@ -17,6 +17,7 @@
 #include "exec/worker_pool.h"
 #include "obs/trace.h"
 #include "util/cancellation.h"
+#include "util/check.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -278,22 +279,14 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
     per_worker_deadline = remaining > 0 ? remaining : 1e-9;
   }
 
-  // The workers' L2: the caller's epoch-scoped process tier when one is
-  // provided (src/cache/ promotes the verdicts across runs), a run-local
-  // cache otherwise.
-  SharedAvailabilityCache local_shared_cache;
-  ExpandSpec worker_spec = spec;
-  if (worker_spec.shared_availability == nullptr) {
-    worker_spec.shared_availability = &local_shared_cache;
-  }
   std::vector<std::unique_ptr<WorkerCtx>> ctxs;
   ctxs.reserve(static_cast<size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
     // Constructed on this thread so the oracle's stage accumulators bind
     // the run's tracer (sampling from workers is safe: each accumulator is
     // single-worker, and clock reads are const).
-    ctxs.push_back(std::make_unique<WorkerCtx>(w, engine, worker_spec,
-                                               per_worker_deadline));
+    ctxs.push_back(
+        std::make_unique<WorkerCtx>(w, engine, spec, per_worker_deadline));
     ctxs[static_cast<size_t>(w)]->published_memory =
         graph->ShardMemoryUsage(w);
   }
@@ -306,13 +299,15 @@ Status ExpandFrontierParallel(ExplorationEngine& engine,
   }
 
   // Join: merge the per-worker tally sheets into the engine's (published
-  // once, by the engine, at destruction) and emit the run's pruning stage
-  // spans, one per strategy across all workers.
+  // once, by the engine, at destruction), check each worker's verdict memo
+  // (dcheck builds) and emit the run's pruning stage spans, one per
+  // strategy across all workers.
   std::vector<const PruningOracle*> oracles;
   for (const std::unique_ptr<WorkerCtx>& ctx : ctxs) {
     engine.tallies().MergeFrom(ctx->tallies);
-    if (ctx->expander.oracle() != nullptr) {
-      oracles.push_back(ctx->expander.oracle());
+    if (const PruningOracle* oracle = ctx->expander.oracle()) {
+      if (CN_DCHECK_IS_ON()) oracle->CheckInvariants();
+      oracles.push_back(oracle);
     }
   }
   PruningOracle::EmitStageSpans(oracles);

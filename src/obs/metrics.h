@@ -272,9 +272,9 @@ inline constexpr std::string_view kMetricServeTenantDeadlineMissed =
     "serve_tenant_deadline_missed_total";
 
 // Process-wide epoch-keyed request cache (src/cache/): shared
-// canonical-result, goal-path-count, and availability-verdict reuse
-// across sessions. Hits/misses are per tier; epoch_invalidations counts
-// explicit Invalidate() calls plus fault-driven epoch rotations observed.
+// canonical-result and goal-path-count reuse across sessions. Hits/misses
+// are per tier; epoch_invalidations counts explicit Invalidate() calls
+// plus fault-driven epoch rotations observed.
 inline constexpr std::string_view kMetricCacheResultHits =
     "cache_result_hits_total";
 inline constexpr std::string_view kMetricCacheResultMisses =

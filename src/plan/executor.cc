@@ -136,15 +136,13 @@ Status ExpandWorklist(internal::ExplorationEngine& engine,
 /// plus Prune with a goal (§4.2); serial or on the parallel frontier.
 Result<GenerationResult> RunGraph(const ExplorationPlan& plan,
                                   const Catalog& catalog,
-                                  const OfferingSchedule& schedule,
-                                  const ExecHooks& hooks) {
+                                  const OfferingSchedule& schedule) {
   const ExplorationRequest& request = plan.request;
   COURSENAV_RETURN_IF_ERROR(ValidateRequest(catalog, schedule, request));
   internal::ExpandSpec spec;
   if (request.type == TaskType::kGoalDriven) {
     spec.goal = request.goal.get();
     spec.config = &request.config;
-    spec.shared_availability = hooks.shared_availability;
   }
 
   obs::ScopedSpan run_span(spec.goal != nullptr ? obs::kSpanGenerateGoal
@@ -239,8 +237,7 @@ struct RankedSink : SerialSink {
 /// Always serial (see the planner's "ranked runs serial" note).
 Result<RankedResult> RunRanked(const ExplorationPlan& plan,
                                const Catalog& catalog,
-                               const OfferingSchedule& schedule,
-                               const ExecHooks& hooks) {
+                               const OfferingSchedule& schedule) {
   const ExplorationRequest& request = plan.request;
   const Goal& goal = *request.goal;
   const int k = request.top_k;
@@ -254,8 +251,7 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
   construct_span.emplace(obs::kSpanGraphConstruct);
   internal::ExplorationEngine engine(catalog, schedule, request.options,
                                      request.start.term, request.end_term);
-  internal::Expander expander(
-      engine, {&goal, &request.config, hooks.shared_availability});
+  internal::Expander expander(engine, {&goal, &request.config});
   ExplorationStats& tallies = engine.tallies();
   obs::StageAccumulator rank_stage;
 
@@ -334,8 +330,7 @@ void ApplyFilterStage(const ExplorationRequest& request,
 
 }  // namespace
 
-Result<ExplorationResponse> Executor::Run(const ExplorationPlan& plan,
-                                          const ExecHooks& hooks) const {
+Result<ExplorationResponse> Executor::Run(const ExplorationPlan& plan) const {
   const ExplorationRequest& request = plan.request;
   ExplorationResponse response;
   switch (request.type) {
@@ -348,7 +343,7 @@ Result<ExplorationResponse> Executor::Run(const ExplorationPlan& plan,
             "goal-driven exploration requires a goal");
       }
       COURSENAV_ASSIGN_OR_RETURN(GenerationResult generation,
-                                 RunGraph(plan, *catalog_, *schedule_, hooks));
+                                 RunGraph(plan, *catalog_, *schedule_));
       response.generation = std::move(generation);
       return response;
     }
@@ -361,7 +356,7 @@ Result<ExplorationResponse> Executor::Run(const ExplorationPlan& plan,
             "ranked exploration requires a ranking function");
       }
       COURSENAV_ASSIGN_OR_RETURN(RankedResult ranked,
-                                 RunRanked(plan, *catalog_, *schedule_, hooks));
+                                 RunRanked(plan, *catalog_, *schedule_));
       response.ranked = std::move(ranked);
       ApplyFilterStage(request, *catalog_, response);
       return response;
@@ -372,14 +367,13 @@ Result<ExplorationResponse> Executor::Run(const ExplorationPlan& plan,
 
 Result<ExplorationResponse> Execute(const Catalog& catalog,
                                     const OfferingSchedule& schedule,
-                                    const ExplorationRequest& request,
-                                    const ExecHooks& hooks) {
+                                    const ExplorationRequest& request) {
   Result<ExplorationPlan> lowered = [&request] {
     obs::ScopedSpan span(obs::kSpanPlanLower);
     return Planner::Lower(request);
   }();
   COURSENAV_RETURN_IF_ERROR(lowered.status());
-  return Executor(&catalog, &schedule).Run(*lowered, hooks);
+  return Executor(&catalog, &schedule).Run(*lowered);
 }
 
 }  // namespace coursenav::plan

@@ -65,9 +65,9 @@ struct ServerConfig {
   /// /statusz flags tenants below it.
   double slo_deadline_target = 0.99;
   /// Routes execution through the process-wide epoch-keyed request cache
-  /// (cache::RequestCache::Global()): plans and complete canonical results
-  /// are shared across workers, tenants, and any co-resident sessions of
-  /// the same catalog epoch. A warm answer is the cold run's stored
+  /// (cache::RequestCache::Global()): complete canonical results are
+  /// shared across workers, tenants, and any co-resident sessions of the
+  /// same catalog epoch. A warm answer is the cold run's stored
   /// response itself (docs/caching.md), so this is purely an operational
   /// switch (`--cache=off` on the CLI).
   bool enable_cache = true;

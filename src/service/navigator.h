@@ -33,8 +33,8 @@ class CourseNavigator {
       : catalog_(catalog), schedule_(schedule) {}
 
   /// Routes Explore() through `cache` (typically
-  /// cache::RequestCache::Global()): plans and complete canonical results
-  /// are reused across requests, sessions, and serve workers of the same
+  /// cache::RequestCache::Global()): complete canonical results are
+  /// reused across requests, sessions, and serve workers of the same
   /// catalog epoch. Pass nullptr to detach. A cache hit is the stored
   /// response of the run that filled it (docs/caching.md), so enabling the
   /// cache is purely an operational decision. The cache must outlive the

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,7 +23,9 @@
 #include "data/brandeis_cs.h"
 #include "exec/work_queue.h"
 #include "exec/worker_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "requirements/degree_requirement.h"
 #include "tests/test_util.h"
 
 namespace coursenav {
@@ -86,6 +89,50 @@ TEST(ParallelDeterminismTest, GoalDrivenMatchesSerialOnBrandeisCatalog) {
     auto parallel = GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
                                             start, end, *dataset.cs_major,
                                             options);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ASSERT_TRUE(parallel->termination.ok())
+        << parallel->termination.ToString();
+    EXPECT_EQ(GraphDifference(serial->graph, parallel->graph), "");
+    EXPECT_EQ(StatsDifference(serial->stats, parallel->stats), "");
+  }
+}
+
+// Groups that share courses take the max-flow credit path, where a verdict
+// costs a flow solve and each worker's oracle memoizes its own. COSI124A
+// runs only in even springs, so statuses that pass Spring 2014 without it
+// are pruned for availability. Whichever worker evaluates a reachable set
+// first, the output is serial's.
+TEST(ParallelDeterminismTest, OverlappingGroupsMatchSerialOnBrandeisCatalog) {
+  data::BrandeisDataset dataset = data::BuildBrandeisDataset();
+  Result<std::shared_ptr<const DegreeRequirement>> goal =
+      DegreeRequirement::Builder(&dataset.catalog)
+          .AddGroup("foundations",
+                    {"COSI11A", "COSI12B", "COSI21A", "COSI29A"}, 3)
+          .AddGroup("logic", {"COSI124A", "COSI29A", "COSI12B"}, 2)
+          .Build();
+  ASSERT_TRUE(goal.ok()) << goal.status().ToString();
+  const Term end = data::EvaluationEndTerm();
+  EnrollmentStatus start{data::StartTermForSpan(4),
+                         dataset.catalog.NewCourseSet()};
+
+  obs::Counter* flow_solves =
+      obs::GlobalMetrics().GetCounter(obs::kMetricFlowSolves);
+  const int64_t solves_before = flow_solves->Value();
+  ExplorationOptions serial_options;
+  auto serial = GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
+                                        start, end, **goal, serial_options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(serial->termination.ok()) << serial->termination.ToString();
+  EXPECT_GT(flow_solves->Value(), solves_before);
+  EXPECT_GT(serial->stats.goal_paths, 0);
+  EXPECT_GT(serial->stats.pruned_availability, 0);
+
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExplorationOptions options;
+    options.num_threads = threads;
+    auto parallel = GenerateGoalDrivenPaths(dataset.catalog, dataset.schedule,
+                                            start, end, **goal, options);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     ASSERT_TRUE(parallel->termination.ok())
         << parallel->termination.ToString();
