@@ -6,7 +6,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "catalog/term.h"
