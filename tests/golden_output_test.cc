@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "catalog/schedule_history.h"
 #include "core/counting.h"
 #include "core/deadline_generator.h"
 #include "core/goal_generator.h"
@@ -158,8 +159,17 @@ const GoldenRun kGoldenRuns[] = {
     {"ranked-5sem-time-k10", 0x1a6db161ba51ac55ull,
      "{\"dead_end_paths\":69459,\"edges_created\":472513,\"goal_paths\":10,\"nodes_created\":472514,\"nodes_expanded\":128138,\"pruned_availability\":290715,\"pruned_time\":1228374,\"pruned_total\":1519089,\"runtime_seconds\":0,\"terminal_paths\":69469}",
      "OK"},
+    {"ranked-6sem-time-k100", 0x2a9e9ee55879ca86ull,
+     "{\"dead_end_paths\":0,\"edges_created\":1482968,\"goal_paths\":100,\"nodes_created\":1482969,\"nodes_expanded\":6263,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":100}",
+     "OK"},
+    {"ranked-5sem-workload-k10", 0x9ff5af9fd1d44639ull,
+     "{\"dead_end_paths\":198279,\"edges_created\":1086955,\"goal_paths\":10,\"nodes_created\":1086956,\"nodes_expanded\":342614,\"pruned_availability\":660477,\"pruned_time\":4390152,\"pruned_total\":5050629,\"runtime_seconds\":0,\"terminal_paths\":198289}",
+     "OK"},
     {"ranked-5sem-bottleneck-k20", 0xc571e4d83f06fa2aull,
      "{\"dead_end_paths\":5964,\"edges_created\":33921,\"goal_paths\":20,\"nodes_created\":33922,\"nodes_expanded\":9031,\"pruned_availability\":38332,\"pruned_time\":120359,\"pruned_total\":158691,\"runtime_seconds\":0,\"terminal_paths\":5984}",
+     "OK"},
+    {"ranked-5sem-reliability-k10", 0xea9a28d1b64ead9cull,
+     "{\"dead_end_paths\":25570,\"edges_created\":186878,\"goal_paths\":10,\"nodes_created\":186879,\"nodes_expanded\":46147,\"pruned_availability\":173207,\"pruned_time\":523861,\"pruned_total\":697068,\"runtime_seconds\":0,\"terminal_paths\":25580}",
      "OK"},
     {"deadline-4sem-nodes2", 0x11178fa90ee50d54ull,
      "{\"dead_end_paths\":0,\"edges_created\":1,\"goal_paths\":0,\"nodes_created\":2,\"nodes_expanded\":1,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
@@ -446,14 +456,29 @@ TEST_F(GoldenBrandeisTest, GoalConfigurations) {
               Goal(4, options, {}, non_monotone->get()));
 }
 
+// One complete run per ranking; the time ranking also at paper_batch's
+// 6-semester k = 100 cell. The reliability model is the CLI's: the
+// schedule as its own history, released one semester past the start.
 TEST_F(GoldenBrandeisTest, RankedRuns) {
   ExplorationOptions options;
   TimeRanking time;
+  WorkloadRanking workload(&catalog());
   BottleneckWorkloadRanking bottleneck(&catalog());
+  ScheduleHistory history;
+  history.ImportSchedule(schedule());
+  const OfferingProbabilityModel model(&schedule(), Start(5).term.Next(),
+                                       std::move(history), 0.5);
+  ReliabilityRanking reliability(&model);
   ExpectPaths("ranked-5sem-time-k10", catalog(),
               Ranked(5, time, 10, options));
+  ExpectPaths("ranked-6sem-time-k100", catalog(),
+              Ranked(6, time, 100, options));
+  ExpectPaths("ranked-5sem-workload-k10", catalog(),
+              Ranked(5, workload, 10, options));
   ExpectPaths("ranked-5sem-bottleneck-k20", catalog(),
               Ranked(5, bottleneck, 20, options));
+  ExpectPaths("ranked-5sem-reliability-k10", catalog(),
+              Ranked(5, reliability, 10, options));
 }
 
 TEST_F(GoldenBrandeisTest, NodeBudgets) {
