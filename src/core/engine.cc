@@ -119,11 +119,12 @@ Status CheckGraphLimits(const ExplorationLimits& limits,
   return Status::OK();
 }
 
-Status ExplorationEngine::CheckBudget(const LearningGraph& graph) {
+Status ExplorationEngine::CheckBudget(const LearningGraph& graph,
+                                      size_t search_bytes) {
   ++tallies_.budget_checks;
-  COURSENAV_RETURN_IF_ERROR(
-      CheckGraphLimits(options_.limits, graph.allocation_failed(),
-                       graph.num_nodes(), graph.MemoryUsage()));
+  COURSENAV_RETURN_IF_ERROR(CheckGraphLimits(
+      options_.limits, graph.allocation_failed(), graph.num_nodes(),
+      graph.MemoryUsage() + search_bytes));
   return budget_.Check();
 }
 

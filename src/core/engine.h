@@ -68,10 +68,13 @@ class ExplorationEngine {
 
   /// OK while within budget; ResourceExhausted / DeadlineExceeded once a
   /// limit in `options.limits` is hit, Cancelled once the options' token
-  /// fires. The deadline and cancel flag are polled through the engine's
-  /// DeadlineBudget (amortized clock reads), so this is cheap enough to
-  /// call per enumerated selection. Verdicts are sticky.
-  Status CheckBudget(const LearningGraph& graph);
+  /// fires. The memory budget charges `graph.MemoryUsage()` plus
+  /// `search_bytes`, what the run's search holds beside the graph (the
+  /// ranked search's frontier and deferred children). The deadline and
+  /// cancel flag are polled through the engine's DeadlineBudget (amortized
+  /// clock reads), so this is cheap enough to call per enumerated
+  /// selection. Verdicts are sticky.
+  Status CheckBudget(const LearningGraph& graph, size_t search_bytes = 0);
 
   /// Wall-clock seconds since the engine was constructed (the generation
   /// run's runtime, for stats reporting).

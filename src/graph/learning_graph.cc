@@ -71,15 +71,17 @@ LearningGraph::CreatedChild LearningGraph::AddChildTo(
 
   NodeId child_id = static_cast<NodeId>(shard_index) << kShardShift |
                     static_cast<NodeId>(shard.nodes.size());
-  EdgeRange& siblings = parent->out_edges;
-  if (siblings.empty()) {
-    siblings.first_ = child_id;
-  } else {
-    CN_CHECK_EQ(siblings.first_ + siblings.count_, child_id)
-        << "children of node " << parent_id
-        << " must be added back to back; its range is already closed";
+  if (child_ranges_) {
+    EdgeRange& siblings = parent->out_edges;
+    if (siblings.empty()) {
+      siblings.first_ = child_id;
+    } else {
+      CN_CHECK_EQ(siblings.first_ + siblings.count_, child_id)
+          << "children of node " << parent_id
+          << " must be added back to back; its range is already closed";
+    }
+    ++siblings.count_;
   }
-  ++siblings.count_;
 
   LearningNode child;
   child.term = parent->term.Next();
@@ -167,7 +169,7 @@ void LearningGraph::CheckInvariants() const {
             << "node " << id << " parent " << current.parent
             << " does not decode to a live arena slot";
         const LearningNode& parent = node(current.parent);
-        CN_CHECK(parent.out_edges.contains(id))
+        CN_CHECK(!child_ranges_ || parent.out_edges.contains(id))
             << "node " << id << " lies outside its parent's child range";
         CN_CHECK_EQ(current.selection.universe_size(), universe)
             << "node " << id << " selection universe mismatch";
@@ -180,6 +182,8 @@ void LearningGraph::CheckInvariants() const {
             << "node " << id
             << " completed set is not parent.completed ∪ selection";
       }
+      CN_CHECK(child_ranges_ || current.out_edges.empty())
+          << "node " << id << " of a parent-linked graph has a child range";
       for (NodeId child : current.out_edges) {
         CN_CHECK(valid_node(child))
             << "child " << child << " of node " << id
@@ -204,6 +208,25 @@ void LearningGraph::CheckInvariants() const {
 void LearningGraph::CheckAvailability(
     const Catalog& catalog, const OfferingSchedule& schedule,
     const std::optional<DynamicBitset>& avoid) const {
+  if (!child_ranges_) {
+    // Children of one parent mostly sit in runs, so a parent's options are
+    // derived once per run.
+    NodeId parent_id = kInvalidNodeId;
+    DynamicBitset options;
+    for (size_t i = 1; i < shards_[0].nodes.size(); ++i) {
+      const LearningNode& child = shards_[0].nodes[i];
+      if (child.parent != parent_id) {
+        parent_id = child.parent;
+        const LearningNode& parent = node(parent_id);
+        options = RecordedOptions(catalog, schedule, parent.term,
+                                  parent.completed, avoid);
+      }
+      CN_CHECK(child.selection.IsSubsetOf(options))
+          << "selection into node " << i
+          << " elects courses outside the parent's options";
+    }
+    return;
+  }
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = shards_[s];
     for (size_t i = 0; i < shard.nodes.size(); ++i) {

@@ -128,6 +128,13 @@ struct LearningEdge {
 /// are one contiguous id range; adding a child to a node whose range
 /// another node has since closed fails a CN_CHECK.
 ///
+/// A *parent-linked* graph (`ParentLinked()`) keeps no child ranges, so a
+/// parent's children need not be back to back. The ranked search stores
+/// its statuses in one: partial expansion adds a re-popped status's
+/// children after other statuses' children. Its nodes' `out_edges` stay
+/// empty (so `LeafNodes()` lists every node), and its paths are read
+/// through parent links (`LearningPath::FromGraph`).
+///
 /// A graph has one arena *shard* by default. The parallel frontier engine
 /// (`src/exec/`) configures one shard per worker: each worker appends nodes
 /// only to its own shard, so the hot path needs no locks or atomics. Ids
@@ -162,6 +169,14 @@ class LearningGraph {
 
   LearningGraph() : shards_(1) {}
 
+  /// An empty graph whose nodes link only to their parent (see the class
+  /// comment). It has one shard.
+  static LearningGraph ParentLinked() {
+    LearningGraph graph;
+    graph.child_ranges_ = false;
+    return graph;
+  }
+
   LearningGraph(const LearningGraph&) = delete;
   LearningGraph& operator=(const LearningGraph&) = delete;
   LearningGraph(LearningGraph&&) = default;
@@ -181,7 +196,8 @@ class LearningGraph {
   /// Creates a node one semester after `parent`, reached by the edge
   /// electing `selection` in the parent's semester. The child's path cost
   /// defaults to `parent.path_cost + edge_cost` (additive rankings). A
-  /// parent's children must be added back to back (see the class comment).
+  /// parent's children must be added back to back unless the graph is
+  /// parent-linked (see the class comment).
   NodeId AddChild(NodeId parent, DynamicBitset selection,
                   DynamicBitset completed, double edge_cost = 0.0);
 
@@ -292,7 +308,8 @@ class LearningGraph {
   /// graph is corrupt. Verifies shard/id encoding consistency (every
   /// parent and child-range id decodes to a live arena slot), that parent
   /// links and child ranges agree (each non-root node lies in its parent's
-  /// range, each range lists only nodes naming that parent), strict term
+  /// range, each range lists only nodes naming that parent; a
+  /// parent-linked graph holds no ranges at all), strict term
   /// advance along every edge (which proves the parent links acyclic),
   /// completed-set algebra (`child.X = parent.X ∪ W`), uniform bitset
   /// universes, and — for canonicalized single-shard graphs — that the
@@ -344,6 +361,8 @@ class LearningGraph {
   }
 
   std::vector<Shard> shards_;
+  /// False for a parent-linked graph.
+  bool child_ranges_ = true;
 };
 
 }  // namespace coursenav

@@ -1,6 +1,9 @@
 // coursenav:deterministic — path output order is part of the contract.
 #include "plan/executor.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -15,7 +18,9 @@
 #include "graph/learning_graph.h"
 #include "graph/path.h"
 #include "obs/trace.h"
+#include "util/bitset.h"
 #include "util/check.h"
+#include "util/chunked_vector.h"
 
 namespace coursenav::plan {
 namespace {
@@ -178,24 +183,41 @@ Result<GenerationResult> RunGraph(const ExplorationPlan& plan,
   return result;
 }
 
-/// Frontier entry ordered by f = g + h (accumulated cost plus the
-/// ranking's admissible cost-to-go bound), with insertion order as the
-/// deterministic tie-break: the ranked run's graph has one shard, so node
-/// ids are creation order, and every created node is pushed once. With a
-/// consistent heuristic, goal statuses still pop in non-decreasing true
-/// cost (f == g at goals), preserving Lemma 2's exact top-k.
+/// A kept child that partial expansion deferred: its f and its selection
+/// W. A re-pop derives the rest from the parent again: X_parent ∪ W and
+/// the ranking's edge cost.
+struct DeferredChild {
+  double f;
+  DynamicBitset selection;
+};
+// One per kept child a run has not materialized: over a million when the
+// 6-semester Figure 4 cells stop.
+static_assert(sizeof(DeferredChild) == 32);
+
+/// A ranked frontier entry, ordered by (f, seq, node), where f = g + h is
+/// the accumulated cost plus the ranking's admissible cost-to-go bound. A
+/// status not yet expanded waits at its f under its parent's first-pop
+/// sequence `seq`; an expanded status with deferred children waits at
+/// their smallest f under its own. So every kept child is ordered by
+/// (f, its parent's first-pop sequence, its enumeration index): the order
+/// an eager search's creation ids give, as it creates a popped status's
+/// children back to back, so the statuses pop in the same sequence. With a
+/// consistent heuristic, goal statuses pop in non-decreasing true cost
+/// (f == g at goals), preserving Lemma 2's exact top-k.
 struct FrontierEntry {
-  double cost;  // f-value
+  double f;
+  uint32_t seq;
   NodeId node;
 };
-// The heap holds an entry per unexpanded node, over a million of them on
-// Figure 4's larger cells.
+// The heap holds an entry per unexpanded status and per expanded status
+// with deferred children.
 static_assert(sizeof(FrontierEntry) == 16);
 
 struct FrontierCompare {
   /// std::priority_queue is a max-heap; invert for a min-heap.
   bool operator()(const FrontierEntry& a, const FrontierEntry& b) const {
-    if (a.cost != b.cost) return a.cost > b.cost;
+    if (a.f != b.f) return a.f > b.f;
+    if (a.seq != b.seq) return a.seq > b.seq;
     return a.node > b.node;
   }
 };
@@ -204,32 +226,169 @@ using RankedFrontier =
     std::priority_queue<FrontierEntry, std::vector<FrontierEntry>,
                         FrontierCompare>;
 
-/// The best-first frontier's sink: a kept child is costed by the ranking
-/// and becomes a node on the f-ordered heap.
-struct RankedSink : SerialSink {
-  RankedFrontier& frontier;
+/// A materialized status's deferred children: rows `[next, end)` of the
+/// row store, ordered by f (ties in enumeration order) from its first
+/// re-pop on. Empty until the status is expanded.
+struct Deferral {
+  uint32_t next = 0;
+  uint32_t end = 0;
+  bool sorted = false;
+};
+
+/// The ranked search as partial-expansion A* (Yoshizumi, Miura and Ishida,
+/// AAAI 2000). A status popped at F for the first time is expanded once;
+/// of its kept children, those with f <= F become statuses and the rest
+/// are deferred as (f, W) rows, and the status goes back on the frontier
+/// at their smallest f. Re-popped there, it materializes the rows with
+/// that f and goes back at the next. A run thus creates only the children
+/// it can still pop, and enumerates no status twice: the tallies count
+/// first expansions, as an eager search's would. The graph is
+/// parent-linked, because a re-popped status's children are not back to
+/// back.
+///
+/// Also the sink of each first expansion: a kept child is costed by the
+/// ranking, then materialized or deferred.
+struct RankedSearch : SerialSink {
   const RankingFunction& ranking;
   const Goal& goal;
   /// Aggregate wall time inside the ranking function (EdgeCost + admissible
   /// bound), emitted as one "rank/evaluate" span per run.
   obs::StageAccumulator& rank_stage;
+  RankedFrontier frontier{};
+  ChunkedVector<DeferredChild> rows{};
+  /// Bytes the rows hold, spilled selection words included.
+  size_t row_bytes = 0;
+  std::vector<Deferral> deferrals{};  // by node id
+  std::vector<DeferredChild> sort_scratch{};
+  uint32_t first_pops = 0;
+  // Of the status in its first expansion: the f it popped at, its
+  // first-pop sequence, its first row and its rows' smallest f.
+  double popped_f = 0.0;
+  uint32_t seq = 0;
+  uint32_t first_row = 0;
+  double min_deferred_f = 0.0;
+
+  /// The memory budget charges the graph plus the frontier, the rows and
+  /// the deferral table.
+  bool CheckBudget() {
+    Status status = engine.CheckBudget(
+        graph, frontier.size() * sizeof(FrontierEntry) + row_bytes +
+                   deferrals.size() * sizeof(Deferral));
+    if (status.ok()) return true;
+    stop = std::move(status);
+    return false;
+  }
+
+  /// Queues the materialized status `id` at `f` under `parent_seq`.
+  void Push(double f, uint32_t parent_seq, NodeId id) {
+    deferrals.emplace_back();
+    frontier.push({f, parent_seq, id});
+  }
 
   bool Add(const internal::CandidateBatch& batch, size_t row) {
     expander.UnpackChild(batch, row);
     double edge_cost;
     double child_cost;
-    double cost_to_go;
+    double f;
     {
       obs::StageSample sample(&rank_stage);
       edge_cost = ranking.EdgeCost(expander.child_selection(), node->term);
       child_cost = ranking.Combine(node->path_cost, edge_cost);
-      cost_to_go = ranking.RemainingCostLowerBound(
-          expander.child_completed(), goal,
-          engine.options().max_courses_per_term);
+      f = child_cost + ranking.RemainingCostLowerBound(
+                           expander.child_completed(), goal,
+                           engine.options().max_courses_per_term);
     }
-    const NodeId child = AddChild(edge_cost, child_cost);
-    frontier.push({child_cost + cost_to_go, child});
+    if (f <= popped_f) {
+      Push(f, seq, AddChild(edge_cost, child_cost));
+      return true;
+    }
+    // 2^32 rows would hold 128 GiB.
+    CN_CHECK_LT(rows.size(), size_t{UINT32_MAX});
+    const DeferredChild& deferred =
+        rows.push_back({f, expander.child_selection()});
+    row_bytes += sizeof(DeferredChild) + deferred.selection.MemoryUsage();
+    min_deferred_f = std::min(min_deferred_f, f);
     return true;
+  }
+
+  /// True when `entry` re-pops an expanded status.
+  bool IsRepop(const FrontierEntry& entry) const {
+    const Deferral& deferral = deferrals[static_cast<size_t>(entry.node)];
+    return deferral.next < deferral.end;
+  }
+
+  /// The first pop of `entry`'s status: expands it, and queues it again at
+  /// its deferred children's smallest f.
+  internal::Expansion Expand(const FrontierEntry& entry) {
+    popped_f = entry.f;
+    seq = first_pops++;
+    first_row = static_cast<uint32_t>(rows.size());
+    min_deferred_f = std::numeric_limits<double>::infinity();
+    const internal::Expansion expansion = ExpandSerial(*this, entry.node);
+    if (rows.size() > first_row) {
+      deferrals[static_cast<size_t>(entry.node)] = {
+          first_row, static_cast<uint32_t>(rows.size()), false};
+      frontier.push({min_deferred_f, seq, entry.node});
+    }
+    return expansion;
+  }
+
+  /// A re-pop of `entry`'s status: materializes its deferred children with
+  /// f <= entry.f (all have f >= it) in enumeration order, and queues the
+  /// status again at its next deferred f. False once the budget stops the
+  /// run.
+  bool Replay(const FrontierEntry& entry) {
+    const size_t id = static_cast<size_t>(entry.node);
+    if (!deferrals[id].sorted) SortDeferred(deferrals[id]);
+    LearningNode* status = graph.stable_node_ptr(entry.node);
+    ExplorationStats& tallies = engine.tallies();
+    uint32_t next = deferrals[id].next;
+    const uint32_t end = deferrals[id].end;
+    bool running = true;
+    for (; next < end && rows[next].f <= entry.f; ++next) {
+      if (!CheckBudget()) {
+        running = false;
+        break;
+      }
+      const DeferredChild& row = rows[next];
+      double edge_cost;
+      double child_cost;
+      {
+        obs::StageSample sample(&rank_stage);
+        edge_cost = ranking.EdgeCost(row.selection, status->term);
+        child_cost = ranking.Combine(status->path_cost, edge_cost);
+      }
+      const NodeId child =
+          graph
+              .AddChildTo(/*shard=*/0, entry.node, status, row.selection,
+                          status->completed | row.selection, edge_cost,
+                          child_cost)
+              .id;
+      tallies.nodes_created += 1;
+      tallies.edges_created += 1;
+      Push(row.f, entry.seq, child);
+    }
+    deferrals[id].next = next;
+    if (running && next < end) {
+      frontier.push({rows[next].f, entry.seq, entry.node});
+    }
+    return running;
+  }
+
+  /// Orders a status's deferred rows by f, ties in enumeration order.
+  void SortDeferred(Deferral& deferral) {
+    sort_scratch.clear();
+    for (uint32_t i = deferral.next; i < deferral.end; ++i) {
+      sort_scratch.push_back(std::move(rows[i]));
+    }
+    std::stable_sort(sort_scratch.begin(), sort_scratch.end(),
+                     [](const DeferredChild& a, const DeferredChild& b) {
+                       return a.f < b.f;
+                     });
+    for (uint32_t i = deferral.next; i < deferral.end; ++i) {
+      rows[i] = std::move(sort_scratch[i - deferral.next]);
+    }
+    deferral.sorted = true;
   }
 };
 
@@ -256,38 +415,38 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
   obs::StageAccumulator rank_stage;
 
   RankedResult result;
-  LearningGraph graph;
+  LearningGraph graph = LearningGraph::ParentLinked();
   NodeId root = ConstructRoot(request, graph, tallies);
   construct_span.reset();
 
   {
     obs::ScopedSpan expand_span(obs::kSpanExpandLoop);
-    RankedFrontier frontier;
-    RankedSink sink{{engine, expander, graph},
-                    frontier,
-                    *request.ranking,
-                    goal,
-                    rank_stage};
+    RankedSearch search{
+        {engine, expander, graph}, *request.ranking, goal, rank_stage};
+    double root_f;
     {
       obs::StageSample sample(&rank_stage);
-      frontier.push({request.ranking->RemainingCostLowerBound(
-                         request.start.completed, goal,
-                         request.options.max_courses_per_term),
-                     root});
+      root_f = request.ranking->RemainingCostLowerBound(
+          request.start.completed, goal, request.options.max_courses_per_term);
     }
+    search.Push(root_f, /*parent_seq=*/0, root);
 
-    while (!frontier.empty() && static_cast<int>(result.paths.size()) < k &&
-           sink.CheckBudget()) {
-      const NodeId current = frontier.top().node;
-      frontier.pop();
-      const internal::Expansion expansion = ExpandSerial(sink, current);
+    while (!search.frontier.empty() &&
+           static_cast<int>(result.paths.size()) < k && search.CheckBudget()) {
+      const FrontierEntry entry = search.frontier.top();
+      search.frontier.pop();
+      if (search.IsRepop(entry)) {
+        if (!search.Replay(entry)) break;
+        continue;
+      }
+      const internal::Expansion expansion = search.Expand(entry);
       if (expansion == internal::Expansion::kStopped) break;
       if (expansion == internal::Expansion::kGoal) {
         // Popping in cost order makes each goal the next-cheapest path.
-        result.paths.push_back(LearningPath::FromGraph(graph, current));
+        result.paths.push_back(LearningPath::FromGraph(graph, entry.node));
       }
     }
-    result.termination = sink.stop;
+    result.termination = search.stop;
     // Inside expand/loop, like the parallel workers' spans.
     rank_stage.Emit(obs::kSpanRankEvaluate);
     expander.EmitStageSpans();

@@ -94,7 +94,7 @@ const GoldenRun kGoldenRuns[] = {
      "{\"dead_end_paths\":0,\"edges_created\":4,\"goal_paths\":0,\"nodes_created\":5,\"nodes_expanded\":2,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: node budget of 5 reached"},
     {"fig3-ranked-nodes5", 0x09612b07b5ecb5a5ull,
-     "{\"dead_end_paths\":0,\"edges_created\":4,\"goal_paths\":0,\"nodes_created\":5,\"nodes_expanded\":2,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
+     "{\"dead_end_paths\":1,\"edges_created\":4,\"goal_paths\":0,\"nodes_created\":5,\"nodes_expanded\":4,\"pruned_availability\":1,\"pruned_time\":0,\"pruned_total\":1,\"runtime_seconds\":0,\"terminal_paths\":1}",
      "ResourceExhausted: node budget of 5 reached"},
     {"fig3-deadline-nodes6", 0x0c2e70e7ca9c6d7eull,
      "{\"dead_end_paths\":1,\"edges_created\":5,\"goal_paths\":0,\"nodes_created\":6,\"nodes_expanded\":4,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":1}",
@@ -102,8 +102,8 @@ const GoldenRun kGoldenRuns[] = {
     {"fig3-goal-nodes6", 0x4492480f0a0a47caull,
      "{\"dead_end_paths\":1,\"edges_created\":5,\"goal_paths\":1,\"nodes_created\":6,\"nodes_expanded\":5,\"pruned_availability\":1,\"pruned_time\":0,\"pruned_total\":1,\"runtime_seconds\":0,\"terminal_paths\":2}",
      "ResourceExhausted: node budget of 6 reached"},
-    {"fig3-ranked-nodes6", 0x09612b07b5ecb5a5ull,
-     "{\"dead_end_paths\":1,\"edges_created\":5,\"goal_paths\":0,\"nodes_created\":6,\"nodes_expanded\":4,\"pruned_availability\":1,\"pruned_time\":0,\"pruned_total\":1,\"runtime_seconds\":0,\"terminal_paths\":1}",
+    {"fig3-ranked-nodes6", 0x33fad27193acad3dull,
+     "{\"dead_end_paths\":1,\"edges_created\":5,\"goal_paths\":1,\"nodes_created\":6,\"nodes_expanded\":5,\"pruned_availability\":1,\"pruned_time\":0,\"pruned_total\":1,\"runtime_seconds\":0,\"terminal_paths\":2}",
      "ResourceExhausted: node budget of 6 reached"},
     {"deadline-3sem-t0", 0x7cdca80eddcc8cc4ull,
      "{\"dead_end_paths\":0,\"edges_created\":4383,\"goal_paths\":4208,\"nodes_created\":4384,\"nodes_expanded\":4384,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":4208}",
@@ -160,16 +160,16 @@ const GoldenRun kGoldenRuns[] = {
      "{\"dead_end_paths\":69459,\"edges_created\":472513,\"goal_paths\":10,\"nodes_created\":472514,\"nodes_expanded\":128138,\"pruned_availability\":290715,\"pruned_time\":1228374,\"pruned_total\":1519089,\"runtime_seconds\":0,\"terminal_paths\":69469}",
      "OK"},
     {"ranked-6sem-time-k100", 0x2a9e9ee55879ca86ull,
-     "{\"dead_end_paths\":0,\"edges_created\":1482968,\"goal_paths\":100,\"nodes_created\":1482969,\"nodes_expanded\":6263,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":100}",
+     "{\"dead_end_paths\":0,\"edges_created\":15676,\"goal_paths\":100,\"nodes_created\":15677,\"nodes_expanded\":6263,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":100}",
      "OK"},
     {"ranked-5sem-workload-k10", 0x9ff5af9fd1d44639ull,
-     "{\"dead_end_paths\":198279,\"edges_created\":1086955,\"goal_paths\":10,\"nodes_created\":1086956,\"nodes_expanded\":342614,\"pruned_availability\":660477,\"pruned_time\":4390152,\"pruned_total\":5050629,\"runtime_seconds\":0,\"terminal_paths\":198289}",
+     "{\"dead_end_paths\":198279,\"edges_created\":342613,\"goal_paths\":10,\"nodes_created\":342614,\"nodes_expanded\":342614,\"pruned_availability\":660477,\"pruned_time\":4390152,\"pruned_total\":5050629,\"runtime_seconds\":0,\"terminal_paths\":198289}",
      "OK"},
     {"ranked-5sem-bottleneck-k20", 0xc571e4d83f06fa2aull,
-     "{\"dead_end_paths\":5964,\"edges_created\":33921,\"goal_paths\":20,\"nodes_created\":33922,\"nodes_expanded\":9031,\"pruned_availability\":38332,\"pruned_time\":120359,\"pruned_total\":158691,\"runtime_seconds\":0,\"terminal_paths\":5984}",
+     "{\"dead_end_paths\":5964,\"edges_created\":9070,\"goal_paths\":20,\"nodes_created\":9071,\"nodes_expanded\":9031,\"pruned_availability\":38332,\"pruned_time\":120359,\"pruned_total\":158691,\"runtime_seconds\":0,\"terminal_paths\":5984}",
      "OK"},
     {"ranked-5sem-reliability-k10", 0xea9a28d1b64ead9cull,
-     "{\"dead_end_paths\":25570,\"edges_created\":186878,\"goal_paths\":10,\"nodes_created\":186879,\"nodes_expanded\":46147,\"pruned_availability\":173207,\"pruned_time\":523861,\"pruned_total\":697068,\"runtime_seconds\":0,\"terminal_paths\":25580}",
+     "{\"dead_end_paths\":25570,\"edges_created\":95621,\"goal_paths\":10,\"nodes_created\":95622,\"nodes_expanded\":46147,\"pruned_availability\":173207,\"pruned_time\":523861,\"pruned_total\":697068,\"runtime_seconds\":0,\"terminal_paths\":25580}",
      "OK"},
     {"deadline-4sem-nodes2", 0x11178fa90ee50d54ull,
      "{\"dead_end_paths\":0,\"edges_created\":1,\"goal_paths\":0,\"nodes_created\":2,\"nodes_expanded\":1,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
@@ -187,7 +187,7 @@ const GoldenRun kGoldenRuns[] = {
      "{\"dead_end_paths\":4,\"edges_created\":64,\"goal_paths\":0,\"nodes_created\":65,\"nodes_expanded\":9,\"pruned_availability\":13,\"pruned_time\":13,\"pruned_total\":26,\"runtime_seconds\":0,\"terminal_paths\":4}",
      "ResourceExhausted: node budget of 65 reached"},
     {"ranked-5sem-nodes65", 0x09612b07b5ecb5a5ull,
-     "{\"dead_end_paths\":0,\"edges_created\":64,\"goal_paths\":0,\"nodes_created\":65,\"nodes_expanded\":2,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
+     "{\"dead_end_paths\":0,\"edges_created\":64,\"goal_paths\":0,\"nodes_created\":65,\"nodes_expanded\":3,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: node budget of 65 reached"},
     {"deadline-4sem-nodes1000", 0x3b60c3b9b3434777ull,
      "{\"dead_end_paths\":0,\"edges_created\":999,\"goal_paths\":845,\"nodes_created\":1000,\"nodes_expanded\":935,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":845}",
@@ -196,13 +196,19 @@ const GoldenRun kGoldenRuns[] = {
      "{\"dead_end_paths\":295,\"edges_created\":999,\"goal_paths\":503,\"nodes_created\":1000,\"nodes_expanded\":969,\"pruned_availability\":715,\"pruned_time\":3074,\"pruned_total\":3789,\"runtime_seconds\":0,\"terminal_paths\":798}",
      "ResourceExhausted: node budget of 1000 reached"},
     {"ranked-5sem-nodes1000", 0x09612b07b5ecb5a5ull,
-     "{\"dead_end_paths\":0,\"edges_created\":999,\"goal_paths\":0,\"nodes_created\":1000,\"nodes_expanded\":9,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
+     "{\"dead_end_paths\":0,\"edges_created\":999,\"goal_paths\":0,\"nodes_created\":1000,\"nodes_expanded\":15,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: node budget of 1000 reached"},
     {"goal-5sem-memory65536", 0x40ccd4449953c6fcull,
      "{\"dead_end_paths\":215,\"edges_created\":744,\"goal_paths\":355,\"nodes_created\":745,\"nodes_expanded\":692,\"pruned_availability\":533,\"pruned_time\":2273,\"pruned_total\":2806,\"runtime_seconds\":0,\"terminal_paths\":570}",
      "ResourceExhausted: memory budget of 65536 bytes reached"},
     {"goal-5sem-memory1048576", 0x201a711ec5622cb1ull,
      "{\"dead_end_paths\":3100,\"edges_created\":11915,\"goal_paths\":6599,\"nodes_created\":11916,\"nodes_expanded\":11799,\"pruned_availability\":9933,\"pruned_time\":36158,\"pruned_total\":46091,\"runtime_seconds\":0,\"terminal_paths\":9699}",
+     "ResourceExhausted: memory budget of 1048576 bytes reached"},
+    {"ranked-5sem-memory65536", 0x09612b07b5ecb5a5ull,
+     "{\"dead_end_paths\":0,\"edges_created\":505,\"goal_paths\":0,\"nodes_created\":506,\"nodes_expanded\":8,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
+     "ResourceExhausted: memory budget of 65536 bytes reached"},
+    {"ranked-5sem-memory1048576", 0x09612b07b5ecb5a5ull,
+     "{\"dead_end_paths\":0,\"edges_created\":3925,\"goal_paths\":0,\"nodes_created\":3926,\"nodes_expanded\":840,\"pruned_availability\":21120,\"pruned_time\":0,\"pruned_total\":21120,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: memory budget of 1048576 bytes reached"},
 };
 // clang-format on
@@ -336,6 +342,22 @@ TEST(GoldenOutputTest, Figure3) {
                                     fix.FreshStudent(), fix.spring13, **goal,
                                     time, 3, options));
   }
+
+  // The ranked search creates only children it can still pop, so six
+  // nodes already reach the cheapest goal: the complete run's first path.
+  ExplorationOptions six;
+  six.limits.max_nodes = 6;
+  auto budgeted = GenerateRankedPaths(fix.catalog, fix.schedule,
+                                      fix.FreshStudent(), fix.spring13, **goal,
+                                      time, 3, six);
+  auto complete = GenerateRankedPaths(fix.catalog, fix.schedule,
+                                      fix.FreshStudent(), fix.spring13, **goal,
+                                      time, 3, ExplorationOptions{});
+  ASSERT_TRUE(budgeted.ok() && complete.ok());
+  ASSERT_EQ(budgeted->paths.size(), 1u);
+  ASSERT_FALSE(complete->paths.empty());
+  EXPECT_EQ(budgeted->paths[0], complete->paths[0]);
+  EXPECT_EQ(budgeted->paths[0].cost(), complete->paths[0].cost());
 }
 
 class GoldenBrandeisTest : public ::testing::Test {
@@ -514,13 +536,18 @@ TEST_F(GoldenBrandeisTest, AvoidedElective) {
 }
 
 // A budget charges each node sizeof(LearningNode) plus its spilled bitset
-// words, so these rows change whenever the node's size does.
+// words, so these rows change whenever the node's size does. A ranked run
+// also charges its frontier entries, its deferred children and its
+// per-status deferral table.
 TEST_F(GoldenBrandeisTest, MemoryBudgets) {
+  TimeRanking time;
   for (size_t max_memory_bytes : {size_t{64} << 10, size_t{1} << 20}) {
     ExplorationOptions options;
     options.limits.max_memory_bytes = max_memory_bytes;
     ExpectGraph(StrFormat("goal-5sem-memory%zu", max_memory_bytes), catalog(),
                 schedule(), Goal(5, options));
+    ExpectPaths(StrFormat("ranked-5sem-memory%zu", max_memory_bytes),
+                catalog(), Ranked(5, time, 10, options));
   }
 }
 
