@@ -9,17 +9,23 @@
 // within interactive bounds — best-first search touches only a tiny
 // corner of a graph whose full size is in the hundreds of millions.
 
-#include <cstddef>
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "data/brandeis_cs.h"
-#include "graph/learning_graph.h"
 #include "plan/executor.h"
 #include "plan/request.h"
 #include "util/check.h"
@@ -27,23 +33,78 @@
 namespace coursenav {
 namespace {
 
-// A ranked run releases its search graph, so the figure's graph-size
-// columns follow from its node count: on a catalog whose course sets fit
-// inline (checked in Run) a node costs sizeof(LearningNode), and the one
-// serial shard holds whole chunks of nodes.
-size_t SearchGraphMemoryBytes(int64_t nodes) {
-  return static_cast<size_t>(nodes) * sizeof(LearningNode);
+/// A field of /proc/self/status ("VmRSS", "VmHWM"), in bytes.
+int64_t StatusFieldBytes(const char* field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  const size_t length = std::strlen(field);
+  while (std::getline(status, line)) {
+    if (line.compare(0, length, field) == 0 && line[length] == ':') {
+      return std::atoll(line.c_str() + length + 1) * 1024;  // kB
+    }
+  }
+  return 0;
 }
-size_t SearchGraphChunkBytes(int64_t nodes) {
-  constexpr size_t kChunk = ChunkedVector<LearningNode>::kChunkSize;
-  const size_t chunks = (static_cast<size_t>(nodes) + kChunk - 1) / kChunk;
-  return chunks * kChunk * sizeof(LearningNode);
+
+/// What one figure cell measured.
+struct CellRun {
+  bool ok = false;
+  double runtime_seconds = 0.0;
+  int64_t nodes = 0;
+  int64_t paths_returned = 0;
+  /// The cell's peak RSS over its start RSS.
+  int64_t rss_delta_bytes = 0;
+};
+
+/// Runs `request` in a forked child. A child's peak-RSS mark (VmHWM)
+/// starts at its RSS when forked, so VmHWM over the child's start RSS is
+/// the memory the cell itself took, and every cell starts from the same
+/// heap: one cell's freed but retained memory cannot hide the next cell's
+/// growth. The child pages in the code it runs, a few hundred KiB at most.
+CellRun RunCellInChild(const data::BrandeisDataset& dataset,
+                       const ExplorationRequest& request) {
+  CellRun run;
+  int fds[2];
+  if (pipe(fds) != 0) return run;
+  std::fflush(stdout);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return run;
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    CellRun child;
+    const int64_t start_rss = StatusFieldBytes("VmRSS");
+    auto response = plan::Execute(dataset.catalog, dataset.schedule, request);
+    const int64_t peak_rss = StatusFieldBytes("VmHWM");
+    if (response.ok() && response->ranked.has_value()) {
+      const RankedResult& result = *response->ranked;
+      child.ok = true;
+      child.runtime_seconds = result.stats.runtime_seconds;
+      child.nodes = result.stats.nodes_created;
+      child.paths_returned = static_cast<int64_t>(result.paths.size());
+      child.rss_delta_bytes = peak_rss - start_rss;
+    }
+    const bool written =
+        write(fds[1], &child, sizeof(child)) == sizeof(child);
+    _exit(written ? 0 : 1);
+  }
+  close(fds[1]);
+  CellRun received;
+  if (read(fds[0], &received, sizeof(received)) == sizeof(received)) {
+    run = received;
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) run.ok = false;
+  return run;
 }
 
 void Run(const bench::BenchArgs& args) {
   data::BrandeisDataset dataset = data::BuildBrandeisDataset();
-  CN_CHECK_EQ(dataset.catalog.NewCourseSet().MemoryUsage(), size_t{0})
-      << "graph-size columns assume inline course sets";
   Term end = data::EvaluationEndTerm();
   auto ranking = std::make_shared<const TimeRanking>();
   bench::BenchReport report("figure4_ranked", args);
@@ -76,32 +137,27 @@ void Run(const bench::BenchArgs& args) {
       request.goal = dataset.cs_major;
       request.ranking = ranking;
       request.top_k = k;
-      auto response =
-          plan::Execute(dataset.catalog, dataset.schedule, request);
-      if (!response.ok()) {
+      const CellRun run = RunCellInChild(dataset, request);
+      if (!run.ok) {
         row.push_back("error");
         seconds[{span, k}] = -1.0;
         continue;
       }
-      CN_CHECK(response->ranked.has_value());
-      const RankedResult& result = *response->ranked;
-      seconds[{span, k}] = result.stats.runtime_seconds;
+      seconds[{span, k}] = run.runtime_seconds;
       JsonValue::Object json_row;
       json_row["k"] = k;
       json_row["semesters"] = span;
       json_row["threads"] = args.threads;
-      json_row["runtime_seconds"] = result.stats.runtime_seconds;
-      json_row["nodes"] = result.stats.nodes_created;
-      json_row["paths_returned"] =
-          static_cast<int64_t>(result.paths.size());
-      bench::AddGraphBytes(result.stats.nodes_created,
-                           SearchGraphMemoryBytes(result.stats.nodes_created),
-                           SearchGraphChunkBytes(result.stats.nodes_created),
-                           &json_row);
+      json_row["runtime_seconds"] = run.runtime_seconds;
+      json_row["nodes"] = run.nodes;
+      json_row["paths_returned"] = run.paths_returned;
+      json_row["rss_delta_bytes"] = run.rss_delta_bytes;
       report.AddRow(std::move(json_row));
-      row.push_back(StrFormat("%.3f (%zu paths)",
-                              result.stats.runtime_seconds,
-                              result.paths.size()));
+      row.push_back(StrFormat("%.3f (%lld paths, %.1f MiB)",
+                              run.runtime_seconds,
+                              static_cast<long long>(run.paths_returned),
+                              static_cast<double>(run.rss_delta_bytes) /
+                                  (1 << 20)));
     }
     table.AddRow(std::move(row));
   }

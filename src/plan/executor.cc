@@ -73,8 +73,10 @@ struct SerialSink {
     return internal::NearNodeBudget(engine.options().limits,
                                     graph.num_nodes(), staged);
   }
-  bool CheckBudget() {
-    Status status = engine.CheckBudget(graph);
+  /// `search_bytes` is what the run holds beside the graph, charged to
+  /// the memory budget with it.
+  bool CheckBudget(size_t search_bytes = 0) {
+    Status status = engine.CheckBudget(graph, search_bytes);
     if (status.ok()) return true;
     stop = std::move(status);
     return false;
@@ -207,6 +209,9 @@ static_assert(sizeof(DeferredChild) == 32);
 struct FrontierEntry {
   double f;
   uint32_t seq;
+  /// The status not yet expanded, or `~id` for expanded status `id`. The
+  /// latter never ties another entry on (f, seq): the only other entries
+  /// under its sequence are its children, created at other f values.
   NodeId node;
 };
 // The heap holds an entry per unexpanded status and per expanded status
@@ -226,9 +231,9 @@ using RankedFrontier =
     std::priority_queue<FrontierEntry, std::vector<FrontierEntry>,
                         FrontierCompare>;
 
-/// A materialized status's deferred children: rows `[next, end)` of the
-/// row store, ordered by f (ties in enumeration order) from its first
-/// re-pop on. Empty until the status is expanded.
+/// An expanded status's deferred children: rows `[next, end)` of the row
+/// store, ordered by f (ties in enumeration order) from its first re-pop
+/// on.
 struct Deferral {
   uint32_t next = 0;
   uint32_t end = 0;
@@ -255,34 +260,25 @@ struct RankedSearch : SerialSink {
   /// bound), emitted as one "rank/evaluate" span per run.
   obs::StageAccumulator& rank_stage;
   RankedFrontier frontier{};
-  ChunkedVector<DeferredChild> rows{};
+  // 256-row (8 KiB) chunks: a small ask pays for few rows it never fills.
+  ChunkedVector<DeferredChild, 8> rows{};
   /// Bytes the rows hold, spilled selection words included.
   size_t row_bytes = 0;
-  std::vector<Deferral> deferrals{};  // by node id
-  std::vector<DeferredChild> sort_scratch{};
-  uint32_t first_pops = 0;
+  std::vector<Deferral> deferrals{};  // by first-pop sequence
+  std::vector<std::pair<double, uint32_t>> sort_keys{};
+  std::vector<DeferredChild> sort_rows{};
   // Of the status in its first expansion: the f it popped at, its
-  // first-pop sequence, its first row and its rows' smallest f.
+  // first-pop sequence and its deferred children's smallest f.
   double popped_f = 0.0;
   uint32_t seq = 0;
-  uint32_t first_row = 0;
   double min_deferred_f = 0.0;
 
   /// The memory budget charges the graph plus the frontier, the rows and
   /// the deferral table.
   bool CheckBudget() {
-    Status status = engine.CheckBudget(
-        graph, frontier.size() * sizeof(FrontierEntry) + row_bytes +
-                   deferrals.size() * sizeof(Deferral));
-    if (status.ok()) return true;
-    stop = std::move(status);
-    return false;
-  }
-
-  /// Queues the materialized status `id` at `f` under `parent_seq`.
-  void Push(double f, uint32_t parent_seq, NodeId id) {
-    deferrals.emplace_back();
-    frontier.push({f, parent_seq, id});
+    return SerialSink::CheckBudget(frontier.size() * sizeof(FrontierEntry) +
+                                   row_bytes +
+                                   deferrals.size() * sizeof(Deferral));
   }
 
   bool Add(const internal::CandidateBatch& batch, size_t row) {
@@ -299,7 +295,7 @@ struct RankedSearch : SerialSink {
                            engine.options().max_courses_per_term);
     }
     if (f <= popped_f) {
-      Push(f, seq, AddChild(edge_cost, child_cost));
+      frontier.push({f, seq, AddChild(edge_cost, child_cost)});
       return true;
     }
     // 2^32 rows would hold 128 GiB.
@@ -311,46 +307,40 @@ struct RankedSearch : SerialSink {
     return true;
   }
 
-  /// True when `entry` re-pops an expanded status.
-  bool IsRepop(const FrontierEntry& entry) const {
-    const Deferral& deferral = deferrals[static_cast<size_t>(entry.node)];
-    return deferral.next < deferral.end;
-  }
-
   /// The first pop of `entry`'s status: expands it, and queues it again at
   /// its deferred children's smallest f.
   internal::Expansion Expand(const FrontierEntry& entry) {
     popped_f = entry.f;
-    seq = first_pops++;
-    first_row = static_cast<uint32_t>(rows.size());
+    seq = static_cast<uint32_t>(deferrals.size());
+    const auto first_row = static_cast<uint32_t>(rows.size());
     min_deferred_f = std::numeric_limits<double>::infinity();
     const internal::Expansion expansion = ExpandSerial(*this, entry.node);
+    deferrals.push_back({first_row, static_cast<uint32_t>(rows.size())});
     if (rows.size() > first_row) {
-      deferrals[static_cast<size_t>(entry.node)] = {
-          first_row, static_cast<uint32_t>(rows.size()), false};
-      frontier.push({min_deferred_f, seq, entry.node});
+      frontier.push({min_deferred_f, seq, ~entry.node});
     }
     return expansion;
   }
 
-  /// A re-pop of `entry`'s status: materializes its deferred children with
-  /// f <= entry.f (all have f >= it) in enumeration order, and queues the
-  /// status again at its next deferred f. False once the budget stops the
-  /// run.
+  /// A re-pop of an expanded status (`entry.node` < 0): materializes its
+  /// deferred children with f <= entry.f (all have f >= it) in enumeration
+  /// order, and queues the status again at its next deferred f. False once
+  /// the budget stops the run.
   bool Replay(const FrontierEntry& entry) {
-    const size_t id = static_cast<size_t>(entry.node);
-    if (!deferrals[id].sorted) SortDeferred(deferrals[id]);
-    LearningNode* status = graph.stable_node_ptr(entry.node);
+    const NodeId id = ~entry.node;
+    Deferral& deferral = deferrals[entry.seq];
+    if (!deferral.sorted) SortDeferred(deferral);
+    LearningNode* status = graph.stable_node_ptr(id);
     ExplorationStats& tallies = engine.tallies();
-    uint32_t next = deferrals[id].next;
-    const uint32_t end = deferrals[id].end;
     bool running = true;
-    for (; next < end && rows[next].f <= entry.f; ++next) {
+    for (; deferral.next < deferral.end &&
+           rows[deferral.next].f <= entry.f;
+         ++deferral.next) {
       if (!CheckBudget()) {
         running = false;
         break;
       }
-      const DeferredChild& row = rows[next];
+      const DeferredChild& row = rows[deferral.next];
       double edge_cost;
       double child_cost;
       {
@@ -360,35 +350,37 @@ struct RankedSearch : SerialSink {
       }
       const NodeId child =
           graph
-              .AddChildTo(/*shard=*/0, entry.node, status, row.selection,
+              .AddChildTo(/*shard=*/0, id, status, row.selection,
                           status->completed | row.selection, edge_cost,
                           child_cost)
               .id;
       tallies.nodes_created += 1;
       tallies.edges_created += 1;
-      Push(row.f, entry.seq, child);
+      frontier.push({row.f, entry.seq, child});
     }
-    deferrals[id].next = next;
-    if (running && next < end) {
-      frontier.push({rows[next].f, entry.seq, entry.node});
+    if (running && deferral.next < deferral.end) {
+      frontier.push({rows[deferral.next].f, entry.seq, entry.node});
     }
     return running;
   }
 
-  /// Orders a status's deferred rows by f, ties in enumeration order.
+  /// Orders a status's deferred rows by f, ties in enumeration order. The
+  /// (f, row) keys are sorted, and each row then moves twice at most.
   void SortDeferred(Deferral& deferral) {
-    sort_scratch.clear();
-    for (uint32_t i = deferral.next; i < deferral.end; ++i) {
-      sort_scratch.push_back(std::move(rows[i]));
-    }
-    std::stable_sort(sort_scratch.begin(), sort_scratch.end(),
-                     [](const DeferredChild& a, const DeferredChild& b) {
-                       return a.f < b.f;
-                     });
-    for (uint32_t i = deferral.next; i < deferral.end; ++i) {
-      rows[i] = std::move(sort_scratch[i - deferral.next]);
-    }
     deferral.sorted = true;
+    sort_keys.clear();
+    for (uint32_t i = deferral.next; i < deferral.end; ++i) {
+      sort_keys.emplace_back(rows[i].f, i);
+    }
+    if (std::is_sorted(sort_keys.begin(), sort_keys.end())) return;
+    std::sort(sort_keys.begin(), sort_keys.end());
+    sort_rows.clear();
+    for (const auto& [f, row] : sort_keys) {
+      sort_rows.push_back(std::move(rows[row]));
+    }
+    for (uint32_t i = deferral.next; i < deferral.end; ++i) {
+      rows[i] = std::move(sort_rows[i - deferral.next]);
+    }
   }
 };
 
@@ -429,13 +421,13 @@ Result<RankedResult> RunRanked(const ExplorationPlan& plan,
       root_f = request.ranking->RemainingCostLowerBound(
           request.start.completed, goal, request.options.max_courses_per_term);
     }
-    search.Push(root_f, /*parent_seq=*/0, root);
+    search.frontier.push({root_f, /*seq=*/0, root});
 
     while (!search.frontier.empty() &&
            static_cast<int>(result.paths.size()) < k && search.CheckBudget()) {
       const FrontierEntry entry = search.frontier.top();
       search.frontier.pop();
-      if (search.IsRepop(entry)) {
+      if (entry.node < 0) {
         if (!search.Replay(entry)) break;
         continue;
       }

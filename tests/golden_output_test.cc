@@ -205,10 +205,10 @@ const GoldenRun kGoldenRuns[] = {
      "{\"dead_end_paths\":3100,\"edges_created\":11915,\"goal_paths\":6599,\"nodes_created\":11916,\"nodes_expanded\":11799,\"pruned_availability\":9933,\"pruned_time\":36158,\"pruned_total\":46091,\"runtime_seconds\":0,\"terminal_paths\":9699}",
      "ResourceExhausted: memory budget of 1048576 bytes reached"},
     {"ranked-5sem-memory65536", 0x09612b07b5ecb5a5ull,
-     "{\"dead_end_paths\":0,\"edges_created\":505,\"goal_paths\":0,\"nodes_created\":506,\"nodes_expanded\":8,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
+     "{\"dead_end_paths\":0,\"edges_created\":569,\"goal_paths\":0,\"nodes_created\":570,\"nodes_expanded\":8,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: memory budget of 65536 bytes reached"},
     {"ranked-5sem-memory1048576", 0x09612b07b5ecb5a5ull,
-     "{\"dead_end_paths\":0,\"edges_created\":3925,\"goal_paths\":0,\"nodes_created\":3926,\"nodes_expanded\":840,\"pruned_availability\":21120,\"pruned_time\":0,\"pruned_total\":21120,\"runtime_seconds\":0,\"terminal_paths\":0}",
+     "{\"dead_end_paths\":0,\"edges_created\":3925,\"goal_paths\":0,\"nodes_created\":3926,\"nodes_expanded\":896,\"pruned_availability\":23160,\"pruned_time\":0,\"pruned_total\":23160,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: memory budget of 1048576 bytes reached"},
 };
 // clang-format on
@@ -538,7 +538,7 @@ TEST_F(GoldenBrandeisTest, AvoidedElective) {
 // A budget charges each node sizeof(LearningNode) plus its spilled bitset
 // words, so these rows change whenever the node's size does. A ranked run
 // also charges its frontier entries, its deferred children and its
-// per-status deferral table.
+// deferral table, one record per expanded status.
 TEST_F(GoldenBrandeisTest, MemoryBudgets) {
   TimeRanking time;
   for (size_t max_memory_bytes : {size_t{64} << 10, size_t{1} << 20}) {
