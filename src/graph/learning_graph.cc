@@ -208,13 +208,15 @@ void LearningGraph::CheckInvariants() const {
 void LearningGraph::CheckAvailability(
     const Catalog& catalog, const OfferingSchedule& schedule,
     const std::optional<DynamicBitset>& avoid) const {
-  if (!child_ranges_) {
-    // Children of one parent mostly sit in runs, so a parent's options are
-    // derived once per run.
-    NodeId parent_id = kInvalidNodeId;
-    DynamicBitset options;
-    for (size_t i = 1; i < shards_[0].nodes.size(); ++i) {
-      const LearningNode& child = shards_[0].nodes[i];
+  // A parent's children sit in runs (its child range, or one replay of a
+  // parent-linked graph), so its options are derived once per run.
+  NodeId parent_id = kInvalidNodeId;
+  DynamicBitset options;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = shards_[s];
+    for (size_t i = 0; i < shard.nodes.size(); ++i) {
+      const LearningNode& child = shard.nodes[i];
+      if (child.parent == kInvalidNodeId) continue;  // the root
       if (child.parent != parent_id) {
         parent_id = child.parent;
         const LearningNode& parent = node(parent_id);
@@ -222,24 +224,9 @@ void LearningGraph::CheckAvailability(
                                   parent.completed, avoid);
       }
       CN_CHECK(child.selection.IsSubsetOf(options))
-          << "selection into node " << i
+          << "selection into node "
+          << (static_cast<NodeId>(s) << kShardShift | static_cast<NodeId>(i))
           << " elects courses outside the parent's options";
-    }
-    return;
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    for (size_t i = 0; i < shard.nodes.size(); ++i) {
-      const LearningNode& parent = shard.nodes[i];
-      if (parent.out_edges.empty()) continue;
-      // Derived once per parent, for all of its children.
-      const DynamicBitset options = RecordedOptions(
-          catalog, schedule, parent.term, parent.completed, avoid);
-      for (NodeId child : parent.out_edges) {
-        CN_CHECK(node(child).selection.IsSubsetOf(options))
-            << "selection into node " << child
-            << " elects courses outside the parent's options";
-      }
     }
   }
 }
