@@ -1,8 +1,7 @@
 // Ablation bench: isolates the contribution of each goal-driven design
 // choice called out in DESIGN.md — the two pruning strategies (alone and
-// combined), Equation 1's minimum-selection enforcement, and the
-// availability-verdict cache. The paper only reports none-vs-both
-// (Table 1); this bench fills in the matrix.
+// combined) and the availability-verdict cache. The paper only reports
+// none-vs-both (Table 1); this bench fills in the matrix.
 
 #include <cstdio>
 
@@ -34,7 +33,6 @@ void Run(const bench::BenchArgs& args) {
     Variant v{"none", {}};
     v.config.enable_time_pruning = false;
     v.config.enable_availability_pruning = false;
-    v.config.enforce_min_selection = false;
     variants.push_back(v);
   }
   {
@@ -45,13 +43,6 @@ void Run(const bench::BenchArgs& args) {
   {
     Variant v{"availability only", {}};
     v.config.enable_time_pruning = false;
-    v.config.enforce_min_selection = false;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"time, no min-selection", {}};
-    v.config.enable_availability_pruning = false;
-    v.config.enforce_min_selection = false;
     variants.push_back(v);
   }
   variants.push_back({"both (paper default)", {}});
@@ -91,8 +82,8 @@ void Run(const bench::BenchArgs& args) {
   std::printf(
       "\nReading: each strategy alone already removes most doomed subtrees;\n"
       "combined they reproduce Table 1's >99%% path reduction. The cache\n"
-      "and min-selection rows isolate pure-speed optimizations (identical\n"
-      "path counts by construction).\n");
+      "row isolates a pure-speed optimization (identical path counts by\n"
+      "construction).\n");
 }
 
 }  // namespace

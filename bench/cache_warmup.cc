@@ -95,8 +95,8 @@ bool SameGraph(const LearningGraph& a, const LearningGraph& b) {
     const LearningNode& na = a.node(id);
     const LearningNode& nb = b.node(id);
     if (na.term != nb.term || na.parent != nb.parent ||
-        na.completed != nb.completed || na.selection != nb.selection ||
-        na.edge_cost != nb.edge_cost || na.path_cost != nb.path_cost ||
+        na.completed != nb.completed || na.edge_cost != nb.edge_cost ||
+        na.path_cost != nb.path_cost ||
         na.out_edges != nb.out_edges || na.is_goal != nb.is_goal) {
       return false;
     }

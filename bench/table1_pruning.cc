@@ -43,7 +43,6 @@ void Run(const bench::BenchArgs& args) {
   GoalDrivenConfig no_pruning;
   no_pruning.enable_time_pruning = false;
   no_pruning.enable_availability_pruning = false;
-  no_pruning.enforce_min_selection = false;
 
   for (int span : {4, 5}) {
     EnrollmentStatus start{data::StartTermForSpan(span),

@@ -237,7 +237,6 @@ Result<uint64_t> RequestCache::CountGoalPaths(
   key += "|cfg=";
   key += config.enable_time_pruning ? '1' : '0';
   key += config.enable_availability_pruning ? '1' : '0';
-  key += config.enforce_min_selection ? '1' : '0';
   key += config.cache_availability_checks ? '1' : '0';
 
   std::optional<uint64_t> cached;

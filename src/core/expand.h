@@ -151,9 +151,8 @@ class Expander {
   LearningGraph::CreatedChild AddChild(LearningGraph& graph, int shard,
                                        NodeId parent_id, LearningNode* parent,
                                        double edge_cost, double path_cost) {
-    LearningGraph::CreatedChild child =
-        graph.AddChildTo(shard, parent_id, parent, child_selection_,
-                         DynamicBitset(child_completed_), edge_cost, path_cost);
+    LearningGraph::CreatedChild child = graph.AddChildTo(
+        shard, parent_id, parent, child_selection_, edge_cost, path_cost);
     tallies_->nodes_created += 1;
     tallies_->edges_created += 1;
     return child;

@@ -23,9 +23,7 @@ int PruningOracle::LeftAt(const DynamicBitset& completed) const {
 }
 
 int PruningOracle::MinSelectionSize(int left_parent, Term parent_term) const {
-  if (!config_.enable_time_pruning || !config_.enforce_min_selection) {
-    return 1;
-  }
+  if (!config_.enable_time_pruning) return 1;
   // Widen before multiplying: max_courses_per_term * horizon overflows int
   // for degenerate option sets (e.g. a far deadline with a huge per-term
   // cap), which would flip the lower bound positive and wrongly skip

@@ -24,18 +24,13 @@ namespace coursenav {
 struct GoalDrivenConfig {
   /// Equation 1 / Lemma 1: cut a candidate child when even taking the
   /// maximum course load in every remaining semester cannot close the gap
-  /// to the goal.
+  /// to the goal. Selections below Equation 1's minimum size are not
+  /// enumerated at all, only counted as time-pruned.
   bool enable_time_pruning = true;
 
   /// Section 4.2.2: cut a candidate child when the goal is unsatisfiable
   /// even after taking *every* course offered in the remaining semesters.
   bool enable_availability_pruning = true;
-
-  /// "The student has to take at least min_i courses in semester s_i":
-  /// skip enumerating selections below the Equation 1 lower bound outright
-  /// instead of generating and pruning them one by one. Equivalent output,
-  /// faster; only active while time pruning is on.
-  bool enforce_min_selection = true;
 
   /// Memoize availability-pruning verdicts per (semester, reachable-set)
   /// key in each pruning oracle's private memo (effective for monotone
@@ -145,9 +140,9 @@ class PruningOracle {
 
   /// Equation 1's per-semester minimum selection size at a node in
   /// `parent_term` with remaining-course count `left_parent`; 1 when the
-  /// bound does not bind or min-selection enforcement is off. Selections
-  /// smaller than the returned size are provably time-pruned — callers may
-  /// skip enumerating them after accounting via `CountSelections`.
+  /// bound does not bind or time pruning is off. Selections smaller than
+  /// the returned size are provably time-pruned — callers may skip
+  /// enumerating them after accounting via `CountSelections`.
   int MinSelectionSize(int left_parent, Term parent_term) const;
 
   /// Applies time-based then course-availability pruning to a candidate

@@ -24,8 +24,8 @@ GraphAnalytics AnalyzeLearningGraph(const LearningGraph& graph,
       goal_leaves[static_cast<size_t>(id)] = node.is_goal ? 1 : 0;
     } else {
       uint64_t total = 0;
-      for (EdgeId edge_id : node.out_edges) {
-        total += goal_leaves[static_cast<size_t>(graph.edge(edge_id).to)];
+      for (NodeId child : node.out_edges) {
+        total += goal_leaves[static_cast<size_t>(child)];
       }
       goal_leaves[static_cast<size_t>(id)] = total;
     }
@@ -75,10 +75,8 @@ LearningGraph ExtractGoalSubgraph(const LearningGraph& graph) {
        --id) {
     const LearningNode& node = graph.node(id);
     bool keep_this = node.is_goal;
-    for (EdgeId edge_id : node.out_edges) {
-      if (keep[static_cast<size_t>(graph.edge(edge_id).to)]) {
-        keep_this = true;
-      }
+    for (NodeId child : node.out_edges) {
+      if (keep[static_cast<size_t>(child)]) keep_this = true;
     }
     keep[static_cast<size_t>(id)] = keep_this;
   }
@@ -96,9 +94,8 @@ LearningGraph ExtractGoalSubgraph(const LearningGraph& graph) {
     if (!keep[static_cast<size_t>(id)]) continue;
     const LearningNode& node = graph.node(id);
     NodeId parent = remap[static_cast<size_t>(node.parent)];
-    NodeId copy =
-        out.AddChildWithPathCost(parent, node.selection, node.completed,
-                                 node.edge_cost, node.path_cost);
+    NodeId copy = out.AddChildWithPathCost(
+        parent, graph.edge(id).selection, node.edge_cost, node.path_cost);
     remap[static_cast<size_t>(id)] = copy;
     if (node.is_goal) out.MarkGoal(copy);
   }

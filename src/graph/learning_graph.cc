@@ -12,9 +12,9 @@ namespace coursenav {
 
 namespace {
 
-/// Heap bytes a node's bitsets spilled beyond the node itself.
+/// Heap bytes a node's completed set spilled beyond the node itself.
 size_t BitsetHeapBytes(const LearningNode& node) {
-  return node.completed.MemoryUsage() + node.selection.MemoryUsage();
+  return node.completed.MemoryUsage();
 }
 
 }  // namespace
@@ -36,28 +36,24 @@ NodeId LearningGraph::AddRoot(Term term, DynamicBitset completed) {
   return 0;
 }
 
-NodeId LearningGraph::AddChild(NodeId parent, DynamicBitset selection,
-                               DynamicBitset completed, double edge_cost) {
+NodeId LearningGraph::AddChild(NodeId parent, const DynamicBitset& selection,
+                               double edge_cost) {
   double path_cost = node(parent).path_cost + edge_cost;
-  return AddChildWithPathCost(parent, std::move(selection),
-                              std::move(completed), edge_cost, path_cost);
+  return AddChildWithPathCost(parent, selection, edge_cost, path_cost);
 }
 
 NodeId LearningGraph::AddChildWithPathCost(NodeId parent,
-                                           DynamicBitset selection,
-                                           DynamicBitset completed,
+                                           const DynamicBitset& selection,
                                            double edge_cost,
                                            double path_cost) {
   return AddChildTo(/*shard=*/parent >> kShardShift, parent,
-                    &node_mut(parent), std::move(selection),
-                    std::move(completed), edge_cost, path_cost)
+                    &node_mut(parent), selection, edge_cost, path_cost)
       .id;
 }
 
 LearningGraph::CreatedChild LearningGraph::AddChildTo(
     int shard_index, NodeId parent_id, LearningNode* parent,
-    DynamicBitset selection, DynamicBitset completed, double edge_cost,
-    double path_cost) {
+    const DynamicBitset& selection, double edge_cost, double path_cost) {
   Shard& shard = shards_[static_cast<size_t>(shard_index)];
   if (FaultInjector* injector = ActiveFaultInjector();
       injector != nullptr && injector->ShouldInject(kFaultSiteGraphAlloc)) {
@@ -86,8 +82,7 @@ LearningGraph::CreatedChild LearningGraph::AddChildTo(
   LearningNode child;
   child.term = parent->term.Next();
   child.parent = parent_id;
-  child.completed = std::move(completed);
-  child.selection = std::move(selection);
+  child.completed = parent->completed | selection;
   child.edge_cost = edge_cost;
   child.path_cost = path_cost;
   shard.memory_bytes += sizeof(LearningNode) + BitsetHeapBytes(child);
@@ -171,16 +166,14 @@ void LearningGraph::CheckInvariants() const {
         const LearningNode& parent = node(current.parent);
         CN_CHECK(!child_ranges_ || parent.out_edges.contains(id))
             << "node " << id << " lies outside its parent's child range";
-        CN_CHECK_EQ(current.selection.universe_size(), universe)
-            << "node " << id << " selection universe mismatch";
         // Terms advance exactly one semester along every edge, which also
         // proves the parent links acyclic (they strictly decrease).
         CN_CHECK_EQ(current.term.index(), parent.term.index() + 1)
             << "edge into node " << id
             << " does not advance time by one semester (parent-link cycle?)";
-        CN_CHECK((parent.completed | current.selection) == current.completed)
+        CN_CHECK(parent.completed.IsSubsetOf(current.completed))
             << "node " << id
-            << " completed set is not parent.completed ∪ selection";
+            << " completed set does not contain its parent's";
       }
       CN_CHECK(child_ranges_ || current.out_edges.empty())
           << "node " << id << " of a parent-linked graph has a child range";
@@ -215,17 +208,18 @@ void LearningGraph::CheckAvailability(
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = shards_[s];
     for (size_t i = 0; i < shard.nodes.size(); ++i) {
-      const LearningNode& child = shard.nodes[i];
-      if (child.parent == kInvalidNodeId) continue;  // the root
-      if (child.parent != parent_id) {
-        parent_id = child.parent;
+      if (shard.nodes[i].parent == kInvalidNodeId) continue;  // the root
+      const NodeId id = static_cast<NodeId>(s) << kShardShift |
+                        static_cast<NodeId>(i);
+      const LearningEdge inbound = edge(id);
+      if (inbound.from != parent_id) {
+        parent_id = inbound.from;
         const LearningNode& parent = node(parent_id);
         options = RecordedOptions(catalog, schedule, parent.term,
                                   parent.completed, avoid);
       }
-      CN_CHECK(child.selection.IsSubsetOf(options))
-          << "selection into node "
-          << (static_cast<NodeId>(s) << kShardShift | static_cast<NodeId>(i))
+      CN_CHECK(inbound.selection.IsSubsetOf(options))
+          << "selection into node " << id
           << " elects courses outside the parent's options";
     }
   }

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <optional>
 #include <ranges>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -70,9 +71,11 @@ class EdgeRange {
 /// (`ComputeOptions`, catalog/catalog.h), not stored.
 ///
 /// The graph is a tree, so every node but the root has exactly one inbound
-/// edge; it is stored here, in the child (`parent`, `selection`,
-/// `edge_cost`), and there is no separate edge arena. The out-edges are a
-/// child range, not a list. Node payloads keep their bitsets inline
+/// edge; it is stored here, in the child (`parent`, `edge_cost`), and there
+/// is no separate edge arena. Its selection is not stored either: it is
+/// `W = X_i \ X_parent` (`LearningGraph::edge()`), because a selection
+/// elects only courses not yet completed. The out-edges are a child range,
+/// not a list. Node payloads keep their bitsets inline
 /// (array-of-structures): the chunked arenas' stable-pointer contract is
 /// what lets parallel workers hold `LearningNode*` across shard growth, so
 /// the sets of *materialized* nodes cannot be hoisted into per-field
@@ -86,9 +89,6 @@ struct LearningNode {
   /// Source of the inbound edge; kInvalidNodeId at the root.
   NodeId parent = kInvalidNodeId;
   DynamicBitset completed;  ///< X_i
-  /// The inbound edge's selection W_{i-1,i} ⊆ Y_{i-1}, elected in the
-  /// parent's semester (an empty universe at the root).
-  DynamicBitset selection;
   /// The inbound edge's cost under the active ranking function.
   double edge_cost = 0.0;
   /// Accumulated path cost from the root under the active ranking function
@@ -102,13 +102,12 @@ struct LearningNode {
 
 /// One transition `e(n_i, n_{i+1})`: the course selection `W_{i,i+1}`
 /// elected in semester `s_i`. Edges are stored in their child node;
-/// `LearningGraph::edge()` returns this view of one, which refers to the
-/// node's selection and so lives no longer than the graph.
+/// `LearningGraph::edge()` builds this value from one.
 struct LearningEdge {
   NodeId from;
   NodeId to;
-  const DynamicBitset& selection;  ///< W_{i,i+1} ⊆ Y_i
-  double cost;                     ///< cost under the active ranking function
+  DynamicBitset selection;  ///< W_{i,i+1} = X_{i+1} \ X_i ⊆ Y_i
+  double cost;              ///< cost under the active ranking function
 };
 
 /// The learning graph `G(E, V)` produced by the generators.
@@ -122,11 +121,11 @@ struct LearningEdge {
 /// (generators hold a parent reference across child insertions instead of
 /// snapshot-copying its bitsets). Each non-root node also holds its inbound
 /// edge, so edges have no arena of their own: an edge's id is its child's
-/// node id, and `edge()` builds a view from that node. A canonical graph's
-/// edges are therefore ids `1..num_nodes() - 1`, in creation order. A
-/// node's children are created back to back in one shard, so its out-edges
-/// are one contiguous id range; adding a child to a node whose range
-/// another node has since closed fails a CN_CHECK.
+/// node id, and `edge()` derives the edge from that node and its parent. A
+/// canonical graph's edges are therefore ids `1..num_nodes() - 1`, in
+/// creation order. A node's children are created back to back in one
+/// shard, so its out-edges are one contiguous id range; adding a child to a
+/// node whose range another node has since closed fails a CN_CHECK.
 ///
 /// A *parent-linked* graph (`ParentLinked()`) keeps no child ranges, so a
 /// parent's children need not be back to back. The ranked search stores
@@ -194,18 +193,18 @@ class LearningGraph {
   NodeId AddRoot(Term term, DynamicBitset completed);
 
   /// Creates a node one semester after `parent`, reached by the edge
-  /// electing `selection` in the parent's semester. The child's path cost
-  /// defaults to `parent.path_cost + edge_cost` (additive rankings). A
-  /// parent's children must be added back to back unless the graph is
-  /// parent-linked (see the class comment).
-  NodeId AddChild(NodeId parent, DynamicBitset selection,
-                  DynamicBitset completed, double edge_cost = 0.0);
+  /// electing `selection` (courses the parent has not completed) in the
+  /// parent's semester: its completed set is `parent.completed ∪
+  /// selection`. The child's path cost defaults to `parent.path_cost +
+  /// edge_cost` (additive rankings). A parent's children must be added back
+  /// to back unless the graph is parent-linked (see the class comment).
+  NodeId AddChild(NodeId parent, const DynamicBitset& selection,
+                  double edge_cost = 0.0);
 
   /// Like AddChild, but with an explicit accumulated path cost — for
   /// rankings whose fold is not addition (see RankingFunction::Combine).
-  NodeId AddChildWithPathCost(NodeId parent, DynamicBitset selection,
-                              DynamicBitset completed, double edge_cost,
-                              double path_cost);
+  NodeId AddChildWithPathCost(NodeId parent, const DynamicBitset& selection,
+                              double edge_cost, double path_cost);
 
   /// A freshly created child: its id plus a stable pointer the creating
   /// worker hands to the frontier (cross-thread reads go through the
@@ -220,8 +219,8 @@ class LearningGraph {
   /// must own exclusively; `parent_id` is its id). Only the worker that
   /// owns `shard` may call this for that shard.
   CreatedChild AddChildTo(int shard, NodeId parent_id, LearningNode* parent,
-                          DynamicBitset selection, DynamicBitset completed,
-                          double edge_cost, double path_cost);
+                          const DynamicBitset& selection, double edge_cost,
+                          double path_cost);
 
   void MarkGoal(NodeId id) { node_mut(id).is_goal = true; }
 
@@ -247,10 +246,15 @@ class LearningGraph {
     const Shard& shard = shards_[static_cast<size_t>(id >> kShardShift)];
     return shard.nodes[static_cast<size_t>(id & kLocalMask)];
   }
-  /// A view of edge `id`, read from the child node `id` that stores it.
+  /// Edge `id`, read from the child node `id` that stores it; its
+  /// selection is `child.completed \ parent.completed`. Edges lead into
+  /// non-root nodes only.
   LearningEdge edge(EdgeId id) const {
     const LearningNode& child = node(id);
-    return LearningEdge{child.parent, id, child.selection, child.edge_cost};
+    DynamicBitset selection = child.completed;
+    selection.Subtract(node(child.parent).completed);
+    return LearningEdge{child.parent, id, std::move(selection),
+                        child.edge_cost};
   }
 
   NodeId root() const {
@@ -311,7 +315,7 @@ class LearningGraph {
   /// range, each range lists only nodes naming that parent; a
   /// parent-linked graph holds no ranges at all), strict term
   /// advance along every edge (which proves the parent links acyclic),
-  /// completed-set algebra (`child.X = parent.X ∪ W`), uniform bitset
+  /// completed sets that only grow (`parent.X ⊆ child.X`), uniform bitset
   /// universes, and — for canonicalized single-shard graphs — that the
   /// contiguous numbering orders every parent before its children.
   ///

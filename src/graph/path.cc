@@ -1,6 +1,7 @@
 #include "graph/path.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -9,17 +10,19 @@ namespace coursenav {
 LearningPath LearningPath::FromGraph(const LearningGraph& graph, NodeId leaf) {
   // Walk parents to the root, then reverse. Each non-root node on the way
   // holds its inbound edge.
-  std::vector<const LearningNode*> chain;
-  const LearningNode* cursor = &graph.node(leaf);
-  while (cursor->parent != kInvalidNodeId) {
+  std::vector<EdgeId> chain;
+  NodeId cursor = leaf;
+  while (graph.node(cursor).parent != kInvalidNodeId) {
     chain.push_back(cursor);
-    cursor = &graph.node(cursor->parent);
+    cursor = graph.node(cursor).parent;
   }
   std::reverse(chain.begin(), chain.end());
 
-  LearningPath path(cursor->term, cursor->completed);
-  for (const LearningNode* step : chain) {
-    path.AppendStep(graph.node(step->parent).term, step->selection);
+  const LearningNode& root = graph.node(cursor);
+  LearningPath path(root.term, root.completed);
+  for (EdgeId id : chain) {
+    LearningEdge edge = graph.edge(id);
+    path.AppendStep(graph.node(edge.from).term, std::move(edge.selection));
   }
   path.set_cost(graph.node(leaf).path_cost);
   return path;

@@ -348,15 +348,11 @@ struct RankedSearch : SerialSink {
         edge_cost = ranking.EdgeCost(row.selection, status->term);
         child_cost = ranking.Combine(status->path_cost, edge_cost);
       }
-      const NodeId child =
-          graph
-              .AddChildTo(/*shard=*/0, id, status, row.selection,
-                          status->completed | row.selection, edge_cost,
-                          child_cost)
-              .id;
+      const LearningGraph::CreatedChild child = graph.AddChildTo(
+          /*shard=*/0, id, status, row.selection, edge_cost, child_cost);
       tallies.nodes_created += 1;
       tallies.edges_created += 1;
-      frontier.push({row.f, entry.seq, child});
+      frontier.push({row.f, entry.seq, child.id});
     }
     if (running && deferral.next < deferral.end) {
       frontier.push({rows[deferral.next].f, entry.seq, entry.node});

@@ -50,7 +50,6 @@ std::string PruneDetail(const GoalDrivenConfig& config) {
   std::vector<std::string> on;
   if (config.enable_time_pruning) on.push_back("time");
   if (config.enable_availability_pruning) on.push_back("availability");
-  if (config.enforce_min_selection) on.push_back("min-selection");
   if (config.cache_availability_checks) on.push_back("cached");
   if (on.empty()) return "off";
   std::string detail;
@@ -162,7 +161,6 @@ Result<ExplorationRequest> RewriteForDegradation(
       attempt.type = TaskType::kGoalDriven;
       attempt.config.enable_time_pruning = true;
       attempt.config.enable_availability_pruning = true;
-      attempt.config.enforce_min_selection = true;
       attempt.config.cache_availability_checks = true;
       break;
     case DegradationLevel::kRankedSmallK:

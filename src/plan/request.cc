@@ -224,8 +224,6 @@ Result<JsonValue> ExplorationRequestToJson(const ExplorationRequest& request,
       JsonValue(request.config.enable_time_pruning);
   config["enable_availability_pruning"] =
       JsonValue(request.config.enable_availability_pruning);
-  config["enforce_min_selection"] =
-      JsonValue(request.config.enforce_min_selection);
   config["cache_availability_checks"] =
       JsonValue(request.config.cache_availability_checks);
   object["config"] = JsonValue(std::move(config));
@@ -246,9 +244,7 @@ Result<JsonValue> ExplorationRequestToJson(const ExplorationRequest& request,
 
 Result<ExplorationRequest> ExplorationRequestFromJson(const JsonValue& json,
                                                       const Catalog& catalog) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("exploration request must be an object");
-  }
+  COURSENAV_RETURN_IF_ERROR(ValidateRequestJsonSchema(json));
   ExplorationRequest request;
 
   COURSENAV_ASSIGN_OR_RETURN(JsonValue start, json.Get("start"));
@@ -353,7 +349,6 @@ Result<ExplorationRequest> ExplorationRequestFromJson(const JsonValue& json,
         {"enable_time_pruning", &request.config.enable_time_pruning},
         {"enable_availability_pruning",
          &request.config.enable_availability_pruning},
-        {"enforce_min_selection", &request.config.enforce_min_selection},
         {"cache_availability_checks",
          &request.config.cache_availability_checks},
     };
@@ -418,7 +413,7 @@ Status ValidateRequestJsonSchema(const JsonValue& json) {
     COURSENAV_RETURN_IF_ERROR(CheckObjectKeys(
         config, "config",
         {"enable_time_pruning", "enable_availability_pruning",
-         "enforce_min_selection", "cache_availability_checks"}));
+         "cache_availability_checks"}));
   }
   if (json.Has("filters")) {
     COURSENAV_ASSIGN_OR_RETURN(JsonValue filters, json.Get("filters"));

@@ -165,7 +165,10 @@ Result<JsonValue> ExplorationRequestToJson(const ExplorationRequest& request,
 /// `goal` becomes an ExprGoal compiled from `goal_spec`, `ranking` one of
 /// the built-in rankings ("time", "workload", "bottleneck-workload") —
 /// rankings that need external models (reliability) are not
-/// JSON-constructible. The catalog must outlive the returned request.
+/// JSON-constructible. The catalog must outlive the returned request. A
+/// key the schema does not know, at any level, is an error
+/// (`ValidateRequestJsonSchema`), so a typo'd field ("top-k", "max_node")
+/// is a crisp rejection instead of a silently ignored constraint.
 ///
 /// Round-trip contract: FromJson(ToJson(r)) reproduces `r` field for
 /// field, and ToJson(FromJson(j)) reproduces the canonical form of `j`.
@@ -173,11 +176,8 @@ Result<ExplorationRequest> ExplorationRequestFromJson(
     const JsonValue& json, const Catalog& catalog);
 
 /// Strict structural check of a request document: every key at every level
-/// must be one the round-trip schema knows. ExplorationRequestFromJson
-/// itself is lax (it ignores unknown keys, so hand-written request files
-/// keep working); the serving layer calls this first so a typo'd field
-/// ("deadine_ms", "max_node") is a crisp rejection instead of a silently
-/// ignored constraint.
+/// must be one the round-trip schema knows. ExplorationRequestFromJson runs
+/// it first.
 Status ValidateRequestJsonSchema(const JsonValue& json);
 
 }  // namespace coursenav

@@ -189,11 +189,6 @@ ResponseEnvelope ExplorationServer::HandleRequest(std::string_view payload) {
         queue_ != nullptr ? queue_->RetryAfterMsHint() : 50.0);
   }
 
-  Status schema = ValidateRequestJsonSchema(envelope.request);
-  if (!schema.ok()) {
-    return RejectResponse(envelope.tenant, envelope.request_id,
-                          envelope.trace_id, schema);
-  }
   Result<ExplorationRequest> request_result =
       ExplorationRequestFromJson(envelope.request, navigator_.catalog());
   if (!request_result.ok()) {

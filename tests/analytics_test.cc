@@ -29,8 +29,8 @@ TEST(AnalyticsTest, HandBuiltGraphCounts) {
   // root -> {11A} -> goal ; root -> {29A} -> (non-goal leaf)
   LearningGraph graph;
   NodeId root = graph.AddRoot(fix.fall11, bits({}));
-  NodeId a = graph.AddChild(root, bits({0}), bits({0}));
-  graph.AddChild(root, bits({1}), bits({1}));
+  NodeId a = graph.AddChild(root, bits({0}));
+  graph.AddChild(root, bits({1}));
   graph.MarkGoal(a);
 
   GraphAnalytics analytics = AnalyzeLearningGraph(graph, fix.catalog);
@@ -135,7 +135,7 @@ TEST(ExtractGoalSubgraphTest, NoGoalsYieldsEmptyGraph) {
   };
   LearningGraph graph;
   NodeId root = graph.AddRoot(fix.fall11, bits({}));
-  graph.AddChild(root, bits({0}), bits({0}));
+  graph.AddChild(root, bits({0}));
   LearningGraph trimmed = ExtractGoalSubgraph(graph);
   EXPECT_EQ(trimmed.num_nodes(), 0);
   EXPECT_EQ(ExtractGoalSubgraph(LearningGraph()).num_nodes(), 0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/deadline_generator.h"
 #include "data/synthetic.h"
@@ -99,7 +100,6 @@ TEST(GoalGeneratorTest, PruningPreservesGoalPaths) {
   GoalDrivenConfig no_pruning;
   no_pruning.enable_time_pruning = false;
   no_pruning.enable_availability_pruning = false;
-  no_pruning.enforce_min_selection = false;
 
   auto pruned = GenerateGoalDrivenPaths(fix.catalog, fix.schedule,
                                         fix.FreshStudent(), fix.spring13,
@@ -161,6 +161,10 @@ struct SoundnessCase {
   int span;
 };
 
+void PrintTo(const SoundnessCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_courses" << c.num_courses << "_span" << c.span;
+}
+
 class PruningSoundnessTest : public ::testing::TestWithParam<SoundnessCase> {
 };
 
@@ -190,7 +194,6 @@ TEST_P(PruningSoundnessTest, PrunedEqualsUnprunedGoalSet) {
   GoalDrivenConfig no_pruning;
   no_pruning.enable_time_pruning = false;
   no_pruning.enable_availability_pruning = false;
-  no_pruning.enforce_min_selection = false;
 
   auto pruned = GenerateGoalDrivenPaths(bundle->catalog, bundle->schedule,
                                         start, end, **goal, options);

@@ -129,9 +129,6 @@ const GoldenRun kGoldenRuns[] = {
     {"goal-4sem-no-availability", 0xfa29c09f5db3166dull,
      "{\"dead_end_paths\":521,\"edges_created\":1031,\"goal_paths\":342,\"nodes_created\":1032,\"nodes_expanded\":1032,\"pruned_availability\":0,\"pruned_time\":9383,\"pruned_total\":9383,\"runtime_seconds\":0,\"terminal_paths\":863}",
      "OK"},
-    {"goal-4sem-no-min-selection", 0xda7b4fa13c214321ull,
-     "{\"dead_end_paths\":182,\"edges_created\":655,\"goal_paths\":342,\"nodes_created\":656,\"nodes_expanded\":656,\"pruned_availability\":376,\"pruned_time\":4550,\"pruned_total\":4926,\"runtime_seconds\":0,\"terminal_paths\":524}",
-     "OK"},
     {"goal-4sem-no-cache", 0xda7b4fa13c214321ull,
      "{\"dead_end_paths\":182,\"edges_created\":655,\"goal_paths\":342,\"nodes_created\":656,\"nodes_expanded\":656,\"pruned_availability\":376,\"pruned_time\":4550,\"pruned_total\":4926,\"runtime_seconds\":0,\"terminal_paths\":524}",
      "OK"},
@@ -198,17 +195,17 @@ const GoldenRun kGoldenRuns[] = {
     {"ranked-5sem-nodes1000", 0x09612b07b5ecb5a5ull,
      "{\"dead_end_paths\":0,\"edges_created\":999,\"goal_paths\":0,\"nodes_created\":1000,\"nodes_expanded\":15,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: node budget of 1000 reached"},
-    {"goal-5sem-memory65536", 0x40ccd4449953c6fcull,
-     "{\"dead_end_paths\":215,\"edges_created\":744,\"goal_paths\":355,\"nodes_created\":745,\"nodes_expanded\":692,\"pruned_availability\":533,\"pruned_time\":2273,\"pruned_total\":2806,\"runtime_seconds\":0,\"terminal_paths\":570}",
+    {"goal-5sem-memory65536", 0x0a9adaec95ef8916ull,
+     "{\"dead_end_paths\":308,\"edges_created\":1042,\"goal_paths\":514,\"nodes_created\":1043,\"nodes_expanded\":999,\"pruned_availability\":726,\"pruned_time\":3172,\"pruned_total\":3898,\"runtime_seconds\":0,\"terminal_paths\":822}",
      "ResourceExhausted: memory budget of 65536 bytes reached"},
-    {"goal-5sem-memory1048576", 0x201a711ec5622cb1ull,
-     "{\"dead_end_paths\":3100,\"edges_created\":11915,\"goal_paths\":6599,\"nodes_created\":11916,\"nodes_expanded\":11799,\"pruned_availability\":9933,\"pruned_time\":36158,\"pruned_total\":46091,\"runtime_seconds\":0,\"terminal_paths\":9699}",
+    {"goal-5sem-memory1048576", 0xd152cd7560915394ull,
+     "{\"dead_end_paths\":3880,\"edges_created\":16383,\"goal_paths\":9439,\"nodes_created\":16384,\"nodes_expanded\":16253,\"pruned_availability\":11908,\"pruned_time\":48010,\"pruned_total\":59918,\"runtime_seconds\":0,\"terminal_paths\":13319}",
      "ResourceExhausted: memory budget of 1048576 bytes reached"},
     {"ranked-5sem-memory65536", 0x09612b07b5ecb5a5ull,
-     "{\"dead_end_paths\":0,\"edges_created\":569,\"goal_paths\":0,\"nodes_created\":570,\"nodes_expanded\":8,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
+     "{\"dead_end_paths\":0,\"edges_created\":670,\"goal_paths\":0,\"nodes_created\":671,\"nodes_expanded\":9,\"pruned_availability\":0,\"pruned_time\":0,\"pruned_total\":0,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: memory budget of 65536 bytes reached"},
     {"ranked-5sem-memory1048576", 0x09612b07b5ecb5a5ull,
-     "{\"dead_end_paths\":0,\"edges_created\":3925,\"goal_paths\":0,\"nodes_created\":3926,\"nodes_expanded\":896,\"pruned_availability\":23160,\"pruned_time\":0,\"pruned_total\":23160,\"runtime_seconds\":0,\"terminal_paths\":0}",
+     "{\"dead_end_paths\":0,\"edges_created\":3925,\"goal_paths\":0,\"nodes_created\":3926,\"nodes_expanded\":1058,\"pruned_availability\":28030,\"pruned_time\":0,\"pruned_total\":28030,\"runtime_seconds\":0,\"terminal_paths\":0}",
      "ResourceExhausted: memory budget of 1048576 bytes reached"},
 };
 // clang-format on
@@ -228,7 +225,6 @@ const GoldenCount kGoldenCounts[] = {
     {"count-deadline-5sem", 21095449, 21095449, 1033700, ""},
     {"count-goal-4sem", 524, 342, 348, ""},
     {"count-goal-5sem", 1079711, 861717, 153341, ""},
-    {"count-goal-5sem-no-min-selection", 1079711, 861717, 153341, ""},
     {"count-goal-5sem-voluntary-skip", 1081406, 862781, 153344, ""},
     {"count-goal-5sem-cap1000", 0, 0, 0, "ResourceExhausted: status budget of 1000 exceeded while counting"},
 };
@@ -402,11 +398,10 @@ class GoldenBrandeisTest : public ::testing::Test {
   }
 
   static Result<CountingResult> Count(int span, bool goal,
-                                      const ExplorationOptions& options,
-                                      const GoalDrivenConfig& config = {}) {
+                                      const ExplorationOptions& options) {
     return goal ? CountGoalDrivenPaths(dataset().catalog, dataset().schedule,
                                        Start(span), data::EvaluationEndTerm(),
-                                       *dataset().cs_major, options, config)
+                                       *dataset().cs_major, options)
                 : CountDeadlineDrivenPaths(dataset().catalog,
                                            dataset().schedule, Start(span),
                                            data::EvaluationEndTerm(),
@@ -450,10 +445,6 @@ TEST_F(GoldenBrandeisTest, GoalConfigurations) {
   config = {};
   config.enable_availability_pruning = false;
   ExpectGraph("goal-4sem-no-availability", catalog(), schedule(),
-              Goal(4, options, config));
-  config = {};
-  config.enforce_min_selection = false;
-  ExpectGraph("goal-4sem-no-min-selection", catalog(), schedule(),
               Goal(4, options, config));
   config = {};
   config.cache_availability_checks = false;
@@ -561,10 +552,6 @@ TEST_F(GoldenBrandeisTest, Counts) {
     ExpectCount(StrFormat("count-goal-%dsem", span),
                 Count(span, true, options));
   }
-  GoalDrivenConfig no_min;
-  no_min.enforce_min_selection = false;
-  ExpectCount("count-goal-5sem-no-min-selection",
-              Count(5, true, options, no_min));
   ExplorationOptions skip;
   skip.allow_voluntary_skip = true;
   ExpectCount("count-goal-5sem-voluntary-skip", Count(5, true, skip));

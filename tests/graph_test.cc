@@ -41,11 +41,12 @@ class LearningGraphTest : public ::testing::Test {
 };
 
 TEST(LearningNodeLayoutTest, NodeFitsItsByteBudget) {
-  // Two 24-byte bitsets (X and the inbound W), two costs, the term, the
-  // parent id and the child range: 81 bytes of fields, 88 padded. The
-  // option set Y is derived when a status is expanded, not stored.
-  static_assert(sizeof(LearningNode) == 88);
-  EXPECT_EQ(sizeof(LearningNode), 88u);
+  // One 24-byte bitset (X), two costs, the term, the parent id and the
+  // child range: 57 bytes of fields, 64 padded. The option set Y is
+  // derived when a status is expanded and the inbound selection W when its
+  // edge is read, so neither is stored.
+  static_assert(sizeof(LearningNode) == 64);
+  EXPECT_EQ(sizeof(LearningNode), 64u);
 }
 
 TEST_F(LearningGraphTest, RootAndChildren) {
@@ -56,7 +57,7 @@ TEST_F(LearningGraphTest, RootAndChildren) {
   EXPECT_EQ(graph.num_nodes(), 1);
   EXPECT_EQ(graph.root(), root);
 
-  NodeId child = graph.AddChild(root, Bits({0}), Bits({0}), 1.5);
+  NodeId child = graph.AddChild(root, Bits({0}), 1.5);
   EXPECT_EQ(graph.num_nodes(), 2);
   EXPECT_EQ(graph.num_edges(), 1);
   const LearningNode& node = graph.node(child);
@@ -64,28 +65,31 @@ TEST_F(LearningGraphTest, RootAndChildren) {
   EXPECT_EQ(node.completed.ToIndices(), std::vector<int>{0});
   EXPECT_DOUBLE_EQ(node.path_cost, 1.5);
   EXPECT_EQ(node.parent, root);
-  EXPECT_EQ(node.selection.ToIndices(), std::vector<int>{0});
   ASSERT_EQ(graph.node(root).out_edges.size(), 1u);
   const LearningEdge edge = graph.edge(*graph.node(root).out_edges.begin());
   EXPECT_EQ(edge.from, root);
   EXPECT_EQ(edge.to, child);
-  EXPECT_EQ(&edge.selection, &node.selection);
+  EXPECT_EQ(edge.selection.ToIndices(), std::vector<int>{0});
   EXPECT_DOUBLE_EQ(edge.cost, 1.5);
 }
 
 TEST_F(LearningGraphTest, PathCostAccumulates) {
   LearningGraph graph;
   NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
-  NodeId a = graph.AddChild(root, Bits({0}), Bits({0}), 2.0);
-  NodeId b = graph.AddChild(a, Bits({1}), Bits({0, 1}), 3.0);
+  NodeId a = graph.AddChild(root, Bits({0}), 2.0);
+  NodeId b = graph.AddChild(a, Bits({1}), 3.0);
   EXPECT_DOUBLE_EQ(graph.node(b).path_cost, 5.0);
+  // The child's completed set is its parent's plus the selection, and the
+  // edge's selection is the difference again.
+  EXPECT_EQ(graph.node(b).completed.ToIndices(), (std::vector<int>{0, 1}));
+  EXPECT_EQ(graph.edge(b).selection.ToIndices(), std::vector<int>{1});
 }
 
 TEST_F(LearningGraphTest, GoalAndLeafQueries) {
   LearningGraph graph;
   NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
-  NodeId a = graph.AddChild(root, Bits({0}), Bits({0}));
-  NodeId b = graph.AddChild(root, Bits({1}), Bits({1}));
+  NodeId a = graph.AddChild(root, Bits({0}));
+  NodeId b = graph.AddChild(root, Bits({1}));
   graph.MarkGoal(b);
   EXPECT_EQ(graph.GoalNodes(), std::vector<NodeId>{b});
   EXPECT_EQ(graph.LeafNodes(), (std::vector<NodeId>{a, b}));
@@ -97,7 +101,7 @@ TEST_F(LearningGraphTest, MemoryUsageGrows) {
   LearningGraph graph;
   NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
   size_t before = graph.MemoryUsage();
-  graph.AddChild(root, Bits({0}), Bits({0}));
+  graph.AddChild(root, Bits({0}));
   EXPECT_GT(graph.MemoryUsage(), before);
 }
 
@@ -105,8 +109,8 @@ TEST_F(LearningGraphTest, PathExtraction) {
   LearningGraph graph;
   Term f12(Season::kFall, 2012);
   NodeId root = graph.AddRoot(f12, Bits({}));
-  NodeId mid = graph.AddChild(root, Bits({0, 1}), Bits({0, 1}), 1);
-  NodeId leaf = graph.AddChild(mid, Bits({2}), Bits({0, 1, 2}), 1);
+  NodeId mid = graph.AddChild(root, Bits({0, 1}), 1);
+  NodeId leaf = graph.AddChild(mid, Bits({2}), 1);
 
   LearningPath path = LearningPath::FromGraph(graph, leaf);
   EXPECT_EQ(path.start_term(), f12);
@@ -132,7 +136,7 @@ TEST_F(LearningGraphTest, PathOfRootIsEmpty) {
 TEST_F(LearningGraphTest, DotExportMentionsNodesAndSelections) {
   LearningGraph graph;
   NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
-  NodeId leaf = graph.AddChild(root, Bits({0}), Bits({0}));
+  NodeId leaf = graph.AddChild(root, Bits({0}));
   graph.MarkGoal(leaf);
   std::string dot = LearningGraphToDot(graph, catalog_);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
@@ -146,7 +150,7 @@ TEST_F(LearningGraphTest, JsonExportRoundTripsStructure) {
   LearningGraph graph;
   const Term f12(Season::kFall, 2012);
   NodeId root = graph.AddRoot(f12, Bits({}));
-  graph.AddChild(root, Bits({1}), Bits({1}));
+  graph.AddChild(root, Bits({1}));
   OfferingSchedule schedule(catalog_.size());
   ASSERT_TRUE(schedule.AddOffering(0, f12).ok());
   ASSERT_TRUE(schedule.AddOffering(1, f12).ok());
@@ -174,7 +178,7 @@ TEST_F(LearningGraphTest, JsonExportRoundTripsStructure) {
 TEST_F(LearningGraphTest, PathJsonExport) {
   LearningGraph graph;
   NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
-  NodeId leaf = graph.AddChild(root, Bits({0}), Bits({0}), 2.5);
+  NodeId leaf = graph.AddChild(root, Bits({0}), 2.5);
   LearningPath path = LearningPath::FromGraph(graph, leaf);
   JsonValue doc = LearningPathToJson(path, catalog_);
   EXPECT_EQ(*doc.Get("start_term")->GetString(), "Fall 2012");
@@ -219,7 +223,7 @@ LearningGraph ReferenceReplay(const LearningGraph& graph) {
     for (NodeId old_child : graph.node(old_id).out_edges) {
       const LearningNode& child = graph.node(old_child);
       const NodeId id =
-          out.AddChildWithPathCost(new_id, child.selection, child.completed,
+          out.AddChildWithPathCost(new_id, graph.edge(old_child).selection,
                                    child.edge_cost, child.path_cost);
       if (child.is_goal) out.MarkGoal(id);
       worklist.emplace_back(old_child, id);
@@ -264,11 +268,10 @@ TEST_F(LearningGraphTest, CanonicalizeMatchesReferenceReplay) {
     for (int c = 0; c < children; ++c) {
       DynamicBitset selection = Bits({});
       if (c > 0) selection.set((c - 1) % 3);
-      DynamicBitset completed = parent.node->completed | selection;
       const double edge_cost = c + 0.5;
-      LearningGraph::CreatedChild child = graph.AddChildTo(
-          shard, parent.id, parent.node, std::move(selection),
-          std::move(completed), edge_cost, parent.node->path_cost + edge_cost);
+      LearningGraph::CreatedChild child =
+          graph.AddChildTo(shard, parent.id, parent.node, selection, edge_cost,
+                           parent.node->path_cost + edge_cost);
       if (random.Bernoulli(0.1)) child.node->is_goal = true;
       frontier.push_back({child.id, child.node});
     }

@@ -841,9 +841,9 @@ class GraphInvariantsTest : public CheckTest {
   LearningGraph MakeValidGraph() {
     LearningGraph graph;
     NodeId root = graph.AddRoot(Term(Season::kFall, 2012), Bits({}));
-    NodeId a = graph.AddChild(root, Bits({0}), Bits({0}));
-    graph.AddChild(root, Bits({1}), Bits({1}));
-    graph.AddChild(a, Bits({1}), Bits({0, 1}));
+    NodeId a = graph.AddChild(root, Bits({0}));
+    graph.AddChild(root, Bits({1}));
+    graph.AddChild(a, Bits({1}));
     return graph;
   }
 };
@@ -904,11 +904,10 @@ TEST_F(GraphInvariantsTest, RejectsSelectionOutsideParentOptions) {
   EXPECT_NE(message.find("selection into node 2"), std::string::npos)
       << message;
 
-  // Node 2 now elects course 3, which Fall 2012 does not offer. Its
-  // completed set follows (X_child = X_parent ∪ W still holds), so the
-  // structure stays sound and only availability is broken.
+  // Node 2 now elects course 3, which Fall 2012 does not offer: its
+  // completed set still contains its parent's, so the structure stays
+  // sound and only availability is broken.
   LearningNode& child = LearningGraphTestPeer::MutableNode(graph, 2);
-  child.selection = Bits({3});
   child.completed = Bits({3});
   graph.CheckInvariants();  // must not throw
   message = FailureMessage(
@@ -923,15 +922,19 @@ TEST_F(GraphInvariantsTest, AddingToAClosedChildRangeFails) {
   // Node 3 (node 1's child) was created after the root's children, so the
   // root's range is closed.
   std::string message =
-      FailureMessage([&] { graph.AddChild(0, Bits({0, 1}), Bits({0, 1})); });
+      FailureMessage([&] { graph.AddChild(0, Bits({0, 1})); });
   EXPECT_NE(message.find("back to back"), std::string::npos) << message;
 }
 
 TEST_F(GraphInvariantsTest, RejectsCompletedSetAlgebraViolation) {
   LearningGraph graph = MakeValidGraph();
-  LearningNode& child = LearningGraphTestPeer::MutableNode(graph, 1);
-  child.completed = Bits({});  // X_child must equal X_parent ∪ W
-  FailureMessage([&] { graph.CheckInvariants(); });
+  // Node 3's parent (node 1) has completed course 0; node 3 now claims
+  // {1}, so X_parent ⊄ X_child and no selection W gives X_parent ∪ W.
+  LearningNode& child = LearningGraphTestPeer::MutableNode(graph, 3);
+  child.completed = Bits({1});
+  std::string message = FailureMessage([&] { graph.CheckInvariants(); });
+  EXPECT_NE(message.find("does not contain its parent's"), std::string::npos)
+      << message;
 }
 
 TEST_F(GraphInvariantsTest, RejectsOrphanedParentLink) {

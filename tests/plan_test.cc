@@ -467,6 +467,32 @@ TEST(RequestJsonTest, RejectsUnknownRankingAndType) {
       ExplorationRequestFromJson(*bad_type, fixture.catalog).ok());
 }
 
+TEST(RequestJsonTest, RejectsUnknownFields) {
+  // A request file is held to the server's schema: a misspelled key is an
+  // error, not a silently taken default. Top-level keys are checked first.
+  testing_util::Figure3Fixture fixture;
+  auto typo = JsonValue::Parse(
+      R"({"start": {"term": "Fall 2011"}, "end_term": "Spring 2013",
+          "type": "goal", "goal": "11A", "top-k": 2,
+          "config": {"enable_time_pruning": false}})");
+  ASSERT_TRUE(typo.ok());
+  auto request = ExplorationRequestFromJson(*typo, fixture.catalog);
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(request.status().message(), "unknown field 'top-k' in request");
+
+  // The removed minimum-selection switch is an unknown field too.
+  auto removed = JsonValue::Parse(
+      R"({"start": {"term": "Fall 2011"}, "end_term": "Spring 2013",
+          "type": "goal", "goal": "11A",
+          "config": {"enforce_min_selection": false}})");
+  ASSERT_TRUE(removed.ok());
+  request = ExplorationRequestFromJson(*removed, fixture.catalog);
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().message(),
+            "unknown field 'enforce_min_selection' in config");
+}
+
 // ---------------------------------------------------------------------------
 // Degradation rungs as plan rewrites.
 // ---------------------------------------------------------------------------
@@ -515,7 +541,6 @@ TEST(RewriteForDegradationTest, AggressivePruningForcesEveryStrategy) {
   EXPECT_EQ(rewritten->type, TaskType::kGoalDriven);
   EXPECT_TRUE(rewritten->config.enable_time_pruning);
   EXPECT_TRUE(rewritten->config.enable_availability_pruning);
-  EXPECT_TRUE(rewritten->config.enforce_min_selection);
   EXPECT_TRUE(rewritten->config.cache_availability_checks);
   EXPECT_EQ(rewritten->options.limits.max_nodes, 50);
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "core/goal_generator.h"
 #include "data/synthetic.h"
@@ -175,6 +176,10 @@ struct RankedCase {
   uint64_t seed;
   int ranking;  // 0 = time, 1 = workload
 };
+
+void PrintTo(const RankedCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << (c.ranking == 0 ? "_time" : "_workload");
+}
 
 class RankedCorrectnessTest : public ::testing::TestWithParam<RankedCase> {};
 

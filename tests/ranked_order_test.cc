@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <queue>
 #include <string>
 #include <tuple>
@@ -263,6 +264,8 @@ std::string RankingName(Ranking ranking) {
   }
   return "Unknown";
 }
+
+void PrintTo(Ranking ranking, std::ostream* os) { *os << RankingName(ranking); }
 
 INSTANTIATE_TEST_SUITE_P(
     Spans, RankedOrderBrandeisTest,

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -143,6 +144,11 @@ struct ReferenceCase {
   int span;
   int m;
 };
+
+void PrintTo(const ReferenceCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_courses" << c.num_courses << "_span" << c.span
+      << "_m" << c.m;
+}
 
 class ReferenceSweepTest : public ::testing::TestWithParam<ReferenceCase> {};
 
